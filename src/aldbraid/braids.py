@@ -103,11 +103,15 @@ def _find_handle(w: list[int], start: int) -> tuple[int, int] | None:
     return None
 
 
+class HandleReductionDefect(RuntimeError):
+    """Handle reduction broke one of its guarantees: a defect in this module."""
+
+
 def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     """Equivalent handle-free word; empty, σ-positive, or σ-negative.
 
     The step cap is a defect detector only: handle reduction terminates, so
-    hitting the cap trips an assertion rather than returning a weaker answer.
+    hitting the cap raises HandleReductionDefect, never a weaker answer.
     """
     word = list(free_reduce(w))
     start = 0
@@ -117,7 +121,8 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
         if found is None:
             break
         steps += 1
-        assert steps <= step_cap, "handle reduction exceeded its defect-detector cap"
+        if steps > step_cap:
+            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
         j, k = found
         e = 1 if word[j] > 0 else -1
         i = abs(word[j])
@@ -135,7 +140,8 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     if result:
         m = min(abs(x) for x in result)
         signs = {x > 0 for x in result if abs(x) == m}
-        assert len(signs) == 1, "handle-free word with mixed signs at its lowest index"
+        if len(signs) != 1:
+            raise HandleReductionDefect("handle-free word with mixed signs at its lowest index")
     return result
 
 

@@ -12,9 +12,10 @@ Subcommands:
     freeness-scan        enumerate terms, partition into ALD-classes, and
                          check the evaluations separate exactly the classes
 
-Flags: --json for machine-readable reports, --seed, --max-size, --budget
-SIZE,STEPS.  Term and word grammars are those of the library.  The CLI adds
-no logic of its own: every verdict is reproducible from library calls.
+Flags: --json for machine-readable reports; --budget SIZE,STEPS on the two
+decision commands.  Usage errors exit 64.  Term and word grammars are those
+of the library.  The CLI adds no logic of its own: every verdict is
+reproducible from library calls.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .invariants import (
     order_ald,
     specialize,
 )
-from .ldoracle import LdOracle, decide_ld_1var, decide_ld_bounded
+from .ldoracle import LdOracle, Verdict, decide_ld_1var, decide_ld_bounded
 from .pbwords import (
     audit_derived_identities,
     parse_pb,
@@ -76,8 +77,6 @@ DEFAULT_GAMMAS = ("", "s1", "a1", "s1 a2")
 class ExperimentConfig:
     max_term_size: int = 5
     gamma_samples: tuple = tuple(parse_pb(g) for g in DEFAULT_GAMMAS)
-    size_cap: int | None = None
-    step_cap: int = 100_000
     seed: int = 0
     z_sample_count: int = 20
     relation_index_cap: int = 5
@@ -85,11 +84,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.max_term_size < 1:
             raise ValueError("max_term_size must be >= 1")
-        if self.step_cap <= 0:
-            raise ValueError("budgets must be positive")
-
-    def oracle(self) -> LdOracle:
-        return LdOracle(self.size_cap, self.step_cap)
+        # one relation needs two indices, and the audit always uses two fixed z-samples
+        if self.relation_index_cap < 2:
+            raise ValueError("relation_index_cap must be >= 2")
+        if self.z_sample_count < 2:
+            raise ValueError("z_sample_count must be >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def relation_audit(config: ExperimentConfig) -> dict:
     letters = [("s", 1), ("s", -1), ("s", 2), ("s", -2), ("a", 1), ("a", -1), ("a", 2), ("a", -2)]
     zs = [(), (("s", 1),)] + [
         tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-        for _ in range(max(0, config.z_sample_count - 2))
+        for _ in range(config.z_sample_count - 2)
     ]
     defining = []
     for rel in relation_instances(config.relation_index_cap):
@@ -234,20 +233,17 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _budget(args) -> tuple[int | None, int]:
-    if args.budget is None:
-        return None, 100_000
+def _budget(text: str) -> tuple[int, int]:
     try:
-        size_cap, step_cap = (int(part) for part in args.budget.split(","))
+        size_cap, step_cap = (int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"budget must be SIZE,STEPS, got {args.budget!r}") from None
+        raise argparse.ArgumentTypeError(f"budget must be SIZE,STEPS, got {text!r}") from None
     return size_cap, step_cap
 
 
 def cmd_decide_ald(args) -> int:
     t1, t2 = parse_term(args.left), parse_term(args.right)
-    size_cap, step_cap = _budget(args)
-    verdict = decide_ald(t1, t2, LdOracle(size_cap, step_cap))
+    verdict = decide_ald(t1, t2, LdOracle(*args.budget))
     payload = {
         "verdict": verdict.kind,
         "i_left": render_term(inv_I(t1)),
@@ -255,8 +251,8 @@ def cmd_decide_ald(args) -> int:
         "j_left": [render_term(e) for e in inv_J(t1)],
         "j_right": [render_term(e) for e in inv_J(t2)],
     }
-    if verdict.reason:
-        payload["reason"] = verdict.reason
+    if verdict is Verdict.UNKNOWN:
+        payload["reason"] = "LD oracle budget exhausted on a multi-variable entry pair"
     _emit(
         args,
         payload,
@@ -271,19 +267,13 @@ def cmd_decide_ald(args) -> int:
 
 def cmd_decide_ld(args) -> int:
     t1, t2 = parse_term(args.left), parse_term(args.right)
-    size_cap, step_cap = _budget(args)
     if is_one_variable(t1) and is_one_variable(t2) and is_star_term(t1) and is_star_term(t2):
         sign = decide_ld_1var(t1, t2)
         kind = {0: "equal", -1: "less", 1: "greater"}[sign]
     else:
-        verdict = decide_ld_bounded(t1, t2, size_cap, step_cap)
-        kind = verdict.value
+        kind = decide_ld_bounded(t1, t2, *args.budget).kind
     _emit(args, {"verdict": kind}, [kind])
-    if kind == "equal":
-        return EX_EQUAL
-    if kind == "unknown":
-        return EX_UNKNOWN
-    return EX_DIFFERENT
+    return {"equal": EX_EQUAL, "unknown": EX_UNKNOWN}.get(kind, EX_DIFFERENT)
 
 
 def cmd_order_ald(args) -> int:
@@ -350,15 +340,8 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_freeness_scan(args) -> int:
-    size_cap, step_cap = _budget(args)
     gammas = tuple(parse_pb(g) for g in (args.gamma or DEFAULT_GAMMAS))
-    config = ExperimentConfig(
-        max_term_size=args.max_size,
-        gamma_samples=gammas,
-        size_cap=size_cap,
-        step_cap=step_cap,
-        seed=args.seed,
-    )
+    config = ExperimentConfig(max_term_size=args.max_size, gamma_samples=gammas)
     report = freeness_scan(config)
     lines = [
         f"terms: {report['term_count']}  classes: {report['class_count']}",
@@ -382,14 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide-ald", help="decide ALD-equivalence of two terms")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--budget", help="SIZE,STEPS caps for the bounded LD oracle")
+    p.add_argument(
+        "--budget", type=_budget, default=(), help="SIZE,STEPS caps for the bounded LD oracle"
+    )
     common(p)
     p.set_defaults(run=cmd_decide_ald)
 
     p = sub.add_parser("decide-ld", help="decide LD-equivalence of two *-terms")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--budget", help="SIZE,STEPS caps for the bounded closure")
+    p.add_argument(
+        "--budget", type=_budget, default=(), help="SIZE,STEPS caps for the bounded closure"
+    )
     common(p)
     p.set_defaults(run=cmd_decide_ld)
 
@@ -426,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freeness-scan", help="class-by-class separation experiment")
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--gamma", action="append", help="evaluation word (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", help="SIZE,STEPS caps for the bounded LD oracle")
     common(p)
     p.set_defaults(run=cmd_freeness_scan)
 
@@ -435,9 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error, and 2 is the "unknown" verdict here
+        return EX_USAGE if exit_.code == 2 else exit_.code
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE

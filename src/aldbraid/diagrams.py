@@ -30,20 +30,21 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import BraidWord, braid_equal, free_reduce, inverse, parse_braid, render_braid
+from .braids import (
+    BraidWord,
+    braid_equal,
+    free_reduce,
+    inverse,
+    parse_braid,
+    permutation,
+    render_braid,
+)
 from .pbwords import PBWord
-from .terms import CIRC, Compound, Term, Variable, X, size
+from .terms import CIRC, Compound, Term, Variable, X, size, x_power
 
 
 # ---------------------------------------------------------------------------
 # Tree helpers (trees are one-variable ∘-terms)
-
-
-def right_comb(n: int) -> Term:
-    t: Term = X
-    for _ in range(n - 1):
-        t = Compound(CIRC, X, t)
-    return t
 
 
 def tree_pattern(t: Term) -> str:
@@ -181,14 +182,7 @@ class PBDiagram:
         return size(self.dom)
 
     def permutation(self) -> tuple[int, ...]:
-        occupant = list(range(1, self.strands + 1))
-        for x in self.braid:
-            i = abs(x)
-            occupant[i - 1], occupant[i] = occupant[i], occupant[i - 1]
-        perm = [0] * self.strands
-        for pos, strand in enumerate(occupant, start=1):
-            perm[strand - 1] = pos
-        return tuple(perm)
+        return permutation(self.braid, self.strands)
 
     def to_json(self) -> dict:
         return {
@@ -213,14 +207,14 @@ def identity_diagram() -> PBDiagram:
 def gen_sigma(i: int) -> PBDiagram:
     if i < 1:
         raise ValueError("index must be >= 1")
-    comb = right_comb(i + 2)
+    comb = x_power(i + 2)
     return PBDiagram(comb, (i,), comb)
 
 
 def gen_a(i: int) -> PBDiagram:
     if i < 1:
         raise ValueError("index must be >= 1")
-    return PBDiagram(right_comb(i + 2), (), add_caret(right_comb(i + 1), i))
+    return PBDiagram(x_power(i + 2), (), add_caret(x_power(i + 1), i))
 
 
 def split_strand(d: PBDiagram, k: int) -> PBDiagram:

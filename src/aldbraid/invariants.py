@@ -19,11 +19,8 @@ which reduces the ALD word problem to the LD one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
 from .braids import braid_compare, eval_star_braid, handle_reduce
-from .ldoracle import DEFAULT_ORACLE, LdOracle, seq_ld_equal
+from .ldoracle import DEFAULT_ORACLE, LdOracle, Verdict, seq_ld_equal
 from .terms import (
     ALD1,
     ALD2,
@@ -39,9 +36,6 @@ from .terms import (
     apply_law,
     circ_cmp,
     is_one_variable,
-    is_star_term,
-    law_instances,
-    seq_concat,
     seq_star,
     size,
     substitute,
@@ -63,46 +57,7 @@ def inv_J(t: Term) -> TermSeq:
         return (t,)
     if t.op == STAR:
         return seq_star(inv_J(t.left), inv_J(t.right))
-    return seq_concat(inv_J(t.left), inv_J(t.right))
-
-
-@dataclass(frozen=True)
-class AldClassKey:
-    """The invariant pair, packaged: i_part a ∘-term, j_entries *-terms."""
-
-    i_part: Term
-    j_entries: TermSeq
-
-    def __post_init__(self):
-        if size(self.i_part) != len(self.j_entries):
-            raise ValueError("skeleton size must equal the sequence length")
-        if not all(is_star_term(e) for e in self.j_entries):
-            raise ValueError("sequence entries must be *-terms")
-
-    @property
-    def j_length(self) -> int:
-        return len(self.j_entries)
-
-    @classmethod
-    def of_term(cls, t: Term) -> AldClassKey:
-        return cls(inv_I(t), inv_J(t))
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "equal" | "not-equal" | "unknown"
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind == "equal"
-
-
-EQUAL_V = Verdict("equal")
-NOT_EQUAL_V = Verdict("not-equal")
-
-
-def unknown(reason: str) -> Verdict:
-    return Verdict("unknown", reason)
+    return inv_J(t.left) + inv_J(t.right)
 
 
 def specialize(t: Term) -> Term:
@@ -159,32 +114,8 @@ def replay(t: Term, steps: list[LawInstance]) -> Term:
 def decide_ald(t: Term, t2: Term, oracle: LdOracle = DEFAULT_ORACLE) -> Verdict:
     """Decide t =_ALD t2: equal skeletons plus entrywise LD-equal sequences."""
     if inv_I(t) != inv_I(t2):
-        return NOT_EQUAL_V
-    result = seq_ld_equal(inv_J(t), inv_J(t2), oracle)
-    if result is True:
-        return EQUAL_V
-    if result is False:
-        return NOT_EQUAL_V
-    return unknown("LD oracle budget exhausted on a multi-variable entry pair")
-
-
-def ald_closure(t: Term, size_cap: int, step_cap: int = 100_000) -> set:
-    """Brute-force oracle: breadth-first closure of t under single law steps,
-    keeping only terms of size <= size_cap, for up to step_cap expansions."""
-    if size_cap < size(t):
-        raise ValueError("size_cap must be at least size(t)")
-    seen = {t}
-    queue = deque([t])
-    steps = 0
-    while queue and steps < step_cap:
-        current = queue.popleft()
-        steps += 1
-        for inst in law_instances(current):
-            nxt = apply_law(current, inst)
-            if nxt not in seen and size(nxt) <= size_cap:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+        return Verdict.NOT_EQUAL
+    return seq_ld_equal(inv_J(t), inv_J(t2), oracle)
 
 
 def order_ald(s: Term, t: Term, oracle: LdOracle = DEFAULT_ORACLE) -> int:

@@ -39,10 +39,19 @@ from .terms import (
 DEFAULT_STEP_CAP = 100_000
 
 
-class LdVerdict(enum.Enum):
+class Verdict(enum.Enum):
+    """Three-state answer of the LD and ALD decisions; truthy only when EQUAL."""
+
     EQUAL = "equal"
     NOT_EQUAL = "not-equal"
     UNKNOWN = "unknown"
+
+    @property
+    def kind(self) -> str:
+        return self.value
+
+    def __bool__(self) -> bool:
+        return self is Verdict.EQUAL
 
 
 def _require_star(t: Term) -> None:
@@ -66,18 +75,20 @@ def default_size_cap(s: Term, t: Term) -> int:
 
 
 def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
-               target: Term | None = None) -> set:
-    """Breadth-first closure of t under single LD steps within the caps.
+               target: Term | None = None, laws=(LD,)) -> set:
+    """Breadth-first closure of t under single steps of `laws` within the caps.
 
     Stops early when `target` is reached.  Returns the set of visited terms.
     """
+    if size_cap < size(t):
+        raise ValueError("size_cap must be at least size(t)")
     seen = {t}
     queue = deque([t])
     steps = 0
     while queue and steps < step_cap:
         current = queue.popleft()
         steps += 1
-        for inst in law_instances(current, laws=(LD,)):
+        for inst in law_instances(current, laws):
             nxt = apply_law(current, inst)
             if nxt in seen or size(nxt) > size_cap:
                 continue
@@ -90,7 +101,7 @@ def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
 
 
 def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
-                      step_cap: int = DEFAULT_STEP_CAP) -> LdVerdict:
+                      step_cap: int = DEFAULT_STEP_CAP) -> Verdict:
     """Bounded semi-decision of s =_LD t for arbitrary *-terms.
 
     EQUAL only when a rewriting path within the caps connects the terms;
@@ -100,14 +111,16 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
     _require_star(s)
     _require_star(t)
     if s == t:
-        return LdVerdict.EQUAL
+        return Verdict.EQUAL
     if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
-        return LdVerdict.NOT_EQUAL
+        return Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)
+    elif size_cap < size(t):
+        raise ValueError("size_cap must be at least the size of both terms")
     if t in ld_closure(s, size_cap, step_cap, target=t):
-        return LdVerdict.EQUAL
-    return LdVerdict.UNKNOWN
+        return Verdict.EQUAL
+    return Verdict.UNKNOWN
 
 
 @dataclass
@@ -120,31 +133,29 @@ class LdOracle:
     def compare(self, s: Term, t: Term) -> int:
         return decide_ld_1var(s, t)
 
-    def equal(self, s: Term, t: Term) -> LdVerdict:
+    def equal(self, s: Term, t: Term) -> Verdict:
         if s == t:
-            return LdVerdict.EQUAL
+            return Verdict.EQUAL
         if is_one_variable(s) and is_one_variable(t):
-            return (
-                LdVerdict.EQUAL if decide_ld_1var(s, t) == 0 else LdVerdict.NOT_EQUAL
-            )
+            return Verdict.EQUAL if decide_ld_1var(s, t) == 0 else Verdict.NOT_EQUAL
         return decide_ld_bounded(s, t, self.size_cap, self.step_cap)
 
 
 DEFAULT_ORACLE = LdOracle()
 
 
-def seq_ld_equal(s: TermSeq, t: TermSeq, oracle: LdOracle = DEFAULT_ORACLE):
-    """True/False when decided, LdVerdict.UNKNOWN when some pair exhausts caps."""
+def seq_ld_equal(s: TermSeq, t: TermSeq, oracle: LdOracle = DEFAULT_ORACLE) -> Verdict:
+    """Entrywise LD-equality; UNKNOWN when some pair exhausts the caps."""
     if len(s) != len(t):
-        return False
-    unknown = False
+        return Verdict.NOT_EQUAL
+    result = Verdict.EQUAL
     for a, b in zip(s, t):
         verdict = oracle.equal(a, b)
-        if verdict is LdVerdict.NOT_EQUAL:
-            return False
-        if verdict is LdVerdict.UNKNOWN:
-            unknown = True
-    return LdVerdict.UNKNOWN if unknown else True
+        if verdict is Verdict.NOT_EQUAL:
+            return verdict
+        if verdict is Verdict.UNKNOWN:
+            result = verdict
+    return result
 
 
 def find_sq_witness(s: Term, t: Term, size_cap: int | None = None,

@@ -94,6 +94,11 @@ class LawInstance:
         return LawInstance(self.law, self.pos, other)
 
 
+#: Deepest nesting of operators and parentheses that parse_term accepts: the
+#: term functions recurse once per level, and deeper terms overflow the stack.
+MAX_DEPTH = 200
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -146,7 +151,7 @@ def parse_term(text: str) -> Term:
     def where() -> int:
         return tokens[pos][2] if pos < len(tokens) else len(text)
 
-    def primary() -> Term:
+    def primary(depth: int) -> Term:
         nonlocal pos
         kind = peek()
         if kind == "x":
@@ -155,24 +160,26 @@ def parse_term(text: str) -> Term:
             return t
         if kind == "(":
             pos += 1
-            t = expr()
+            t = expr(depth + 1)
             if peek() != ")":
                 raise ParseError("expected ')'", where())
             pos += 1
             return t
         raise ParseError("expected a term", where())
 
-    def expr() -> Term:
+    def expr(depth: int) -> Term:
         nonlocal pos
-        left = primary()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH}", where())
+        left = primary(depth)
         if peek() in (STAR, CIRC):
             op = peek()
             pos += 1
-            right = expr()  # right-associative, equal precedence
+            right = expr(depth + 1)  # right-associative, equal precedence
             return Compound(op, left, right)
         return left
 
-    result = expr()
+    result = expr(0)
     if pos != len(tokens):
         raise ParseError("trailing input", where())
     return result
@@ -251,10 +258,6 @@ def is_special(t: Term) -> bool:
 
 # ---------------------------------------------------------------------------
 # Sequences
-
-
-def seq_concat(s: TermSeq, t: TermSeq) -> TermSeq:
-    return s + t
 
 
 def star_chain(factors: Iterable[Term], last: Term) -> Term:
@@ -405,7 +408,8 @@ class LawApplicationError(ValueError):
     """The law's source pattern does not match at the given position."""
 
 
-def _rewrite_redex(t: Term, law: str, direction: str) -> Term:
+def _rewrite_redex(t: Term, law: str, direction: str) -> Term | None:
+    """The rewritten redex, or None when the law's source pattern does not match."""
     if direction == EXPAND:
         if law == LD:
             # t1*(t2*t3) -> (t1*t2)*(t1*t3)
@@ -474,13 +478,17 @@ def _rewrite_redex(t: Term, law: str, direction: str) -> Term:
             ):
                 t1, t2, t3 = t.left.left, t.left.right, t.right.right
                 return Compound(STAR, t1, Compound(CIRC, t2, t3))
-    raise LawApplicationError(f"{law}/{direction} does not match {render_term(t)}")
+    return None
 
 
 def apply_law(t: Term, inst: LawInstance) -> Term:
     """One rewriting step at inst.pos; raises LawApplicationError on mismatch."""
     redex = subterm_at(t, inst.pos)
-    return replace_at(t, inst.pos, _rewrite_redex(redex, inst.law, inst.direction))
+    new = _rewrite_redex(redex, inst.law, inst.direction)
+    if new is None:
+        law = f"{inst.law}/{inst.direction}"
+        raise LawApplicationError(f"{law} does not match {render_term(redex)}")
+    return replace_at(t, inst.pos, new)
 
 
 def law_instances(t: Term, laws: Iterable[str] = (LD, ALD1, ALD2)) -> Iterator[LawInstance]:
@@ -492,11 +500,8 @@ def law_instances(t: Term, laws: Iterable[str] = (LD, ALD1, ALD2)) -> Iterator[L
             return
         for law in laws:
             for direction in (EXPAND, CONTRACT):
-                try:
-                    _rewrite_redex(node, law, direction)
-                except LawApplicationError:
-                    continue
-                yield LawInstance(law, pos, direction)
+                if _rewrite_redex(node, law, direction) is not None:
+                    yield LawInstance(law, pos, direction)
         yield from walk(node.left, pos + ("L",))
         yield from walk(node.right, pos + ("R",))
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,21 @@ def test_inverse():
     w = B("s1 S2 s3")
     assert inverse(w) == B("S3 s2 S1")
     assert handle_reduce(w + inverse(w)) == ()
+
+
+def test_handle_reduce_defects_survive_optimize_mode():
+    # -O strips assert statements; the defect detectors must not be asserts
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "from aldbraid.braids import HandleReductionDefect, handle_reduce\n"
+        "try:\n"
+        "    print(handle_reduce((1, 2, -1), step_cap=0))\n"
+        "except HandleReductionDefect as err:\n"
+        "    print(type(err).__name__, isinstance(err, RuntimeError),\n"
+        "          isinstance(err, AssertionError))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["HandleReductionDefect", "True", "False"]

@@ -1,6 +1,9 @@
 import json
 
-from aldbraid.cli import main
+import pytest
+
+from aldbraid.cli import ExperimentConfig, main
+from aldbraid.terms import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -48,6 +51,40 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "decide-ald", "x*", "x")
     assert code == 64
     assert "error" in err
+
+
+def test_usage_errors_exit_64(capsys):
+    # argparse's own exit status 2 would read as an "unknown" verdict
+    for argv in (
+        ["decide-ald", "x"],
+        ["freeness-scan", "--bogus"],
+        ["freeness-scan", "--seed", "1"],
+        ["freeness-scan", "--budget", "4,10"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "error" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "decide-ald" in out
+
+
+def test_budget_below_input_size_exit(capsys):
+    # a closure capped below either term's size could only answer "unknown"
+    for budget in ("1,10", "3,10"):
+        argv = ("decide-ld", "--budget", budget, "x1*(x2*x3)", "(x1*x2)*(x1*x3)")
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert "size_cap" in err
+
+
+def test_depth_limit(capsys):
+    # the deepest accepted term still gets a verdict; deeper ones are usage errors
+    code, out, _ = run(capsys, "decide-ald", "x*" * MAX_DEPTH + "x", "x*" * (MAX_DEPTH - 1) + "x")
+    assert code == 1 and out.splitlines()[0] == "not-equal"
+    for depth in (3_000, 10**4):
+        code, _, err = run(capsys, "decide-ald", "x*" * depth + "x", "x")
+        assert code == 64
+        assert "nested deeper" in err
 
 
 def test_decide_ld(capsys):
@@ -104,6 +141,19 @@ def test_verify_relations(capsys):
     assert payload["ok"] is True
     assert all(row["holds"] for row in payload["defining"])
     assert all(row["holds"] for row in payload["derived"])
+
+
+def test_verify_relations_rejects_vacuous_configs(capsys):
+    # fewer than two indices checks no defining relation; fewer than two
+    # samples would be silently raised to the two fixed ones
+    for argv in (["--max-index", "0"], ["--max-index", "1"], ["--samples", "1"]):
+        code, out, err = run(capsys, "verify-relations", *argv)
+        assert code == 64, argv
+        assert out == "" and "error" in err
+    with pytest.raises(ValueError):
+        ExperimentConfig(relation_index_cap=1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(z_sample_count=1)
 
 
 def test_freeness_scan_small(capsys):

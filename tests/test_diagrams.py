@@ -14,14 +14,13 @@ from aldbraid.diagrams import (
     gen_sigma,
     identity_diagram,
     parse_tree_pattern,
-    right_comb,
     split_strand,
     tree_pattern,
     word_eq_oracle,
     word_to_diagram,
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, relation_instances
-from aldbraid.terms import parse_term
+from aldbraid.terms import parse_term, x_power
 
 W = parse_pb
 
@@ -53,26 +52,26 @@ def test_tree_pattern_round_trip():
 
 def test_generators():
     s1 = gen_sigma(1)
-    assert s1.dom == s1.cod == right_comb(3) and s1.braid == (1,)
+    assert s1.dom == s1.cod == x_power(3) and s1.braid == (1,)
     a1 = gen_a(1)
-    assert a1.dom == right_comb(3)
+    assert a1.dom == x_power(3)
     assert a1.cod == parse_term("(x o x) o x")
     assert a1.braid == ()
-    assert gen_sigma(2).dom == right_comb(4) and gen_sigma(2).braid == (2,)
+    assert gen_sigma(2).dom == x_power(4) and gen_sigma(2).braid == (2,)
     with pytest.raises(ValueError):
         gen_a(0)
 
 
 def test_diagram_validation():
     with pytest.raises(ValueError):
-        PBDiagram(right_comb(2), (), right_comb(3))
+        PBDiagram(x_power(2), (), x_power(3))
     with pytest.raises(ValueError):
-        PBDiagram(right_comb(2), (2,), right_comb(2))
+        PBDiagram(x_power(2), (2,), x_power(2))
 
 
 def test_split_strand_identity():
     d = split_strand(identity_diagram(), 1)
-    assert d.dom == d.cod == right_comb(2) and d.braid == ()
+    assert d.dom == d.cod == x_power(2) and d.braid == ()
     assert diagram_equal(d, identity_diagram())
 
 
@@ -141,13 +140,13 @@ def test_reduce_examples():
     relator = W("s1 s2 s1") + tuple((f, -i) for f, i in reversed(W("s2 s1 s2")))
     assert diagram_equal(word_to_diagram(relator), identity_diagram())
     # a full comb pair with no crossings collapses entirely
-    d = PBDiagram(right_comb(5), (), right_comb(5))
+    d = PBDiagram(x_power(5), (), x_power(5))
     assert diagram_reduce(d) == identity_diagram()
 
 
 def test_reduce_keeps_genuine_crossing():
     # crossing block 1 with "the rest of the world" is not σ1 and not reducible
-    d = PBDiagram(right_comb(2), (1,), right_comb(2))
+    d = PBDiagram(x_power(2), (1,), x_power(2))
     assert diagram_reduce(d) == d
     assert not diagram_equal(d, gen_sigma(1))
 
@@ -175,7 +174,7 @@ def test_relator_invariance_random():
 def test_reduction_sites_shape():
     from aldbraid.diagrams import reduction_sites
 
-    d = PBDiagram(right_comb(5), (), right_comb(5))
+    d = PBDiagram(x_power(5), (), x_power(5))
     sites = reduction_sites(d)
     assert sites and all(s.dom_pair == s.cod_pair for s in sites)
     assert not reduction_sites(gen_sigma(1))

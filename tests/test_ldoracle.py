@@ -5,7 +5,8 @@ import pytest
 
 from aldbraid.braids import braid_compare, eval_star_braid
 from aldbraid.ldoracle import (
-    LdVerdict,
+    LdOracle,
+    Verdict,
     decide_ld_1var,
     decide_ld_bounded,
     find_sq_witness,
@@ -21,7 +22,6 @@ from aldbraid.terms import (
     parse_term,
     random_term,
     rightmost_variable,
-    seq_concat,
     seq_star,
     variables,
 )
@@ -43,14 +43,14 @@ def test_decide_ld_1var_rejects():
 
 
 def test_decide_ld_bounded_examples():
-    assert decide_ld_bounded(T("x1*(x2*x3)"), T("(x1*x2)*(x1*x3)")) is LdVerdict.EQUAL
+    assert decide_ld_bounded(T("x1*(x2*x3)"), T("(x1*x2)*(x1*x3)")) is Verdict.EQUAL
     assert (
-        decide_ld_bounded(T("x*(x*x)"), T("((x*x)*x)*((x*x)*x)")) is LdVerdict.EQUAL
+        decide_ld_bounded(T("x*(x*x)"), T("((x*x)*x)*((x*x)*x)")) is Verdict.EQUAL
     )
-    assert decide_ld_bounded(T("x1"), T("x2")) is LdVerdict.NOT_EQUAL
+    assert decide_ld_bounded(T("x1"), T("x2")) is Verdict.NOT_EQUAL
     # same variable set and rightmost variable, no connecting path at any cap
     # small enough to exhaust: verdict stays UNKNOWN
-    assert decide_ld_bounded(T("x1*x1"), T("x1"), size_cap=4) is LdVerdict.UNKNOWN
+    assert decide_ld_bounded(T("x1*x1"), T("x1"), size_cap=4) is Verdict.UNKNOWN
 
 
 def test_ld_step_invariants_back_the_filters():
@@ -88,10 +88,16 @@ def test_1var_order_is_total_on_ld_classes():
 
 def test_seq_ld_equal():
     x = T("x")
-    assert seq_ld_equal((x,), (x,)) is True
-    assert seq_ld_equal((T("x*x"), x), (x, x)) is False
-    assert seq_ld_equal((x, x), (x, x, x)) is False
-    assert seq_ld_equal((T("x*(x*x)"),), (T("(x*x)*(x*x)"),)) is True
+    assert seq_ld_equal((x,), (x,)) is Verdict.EQUAL
+    assert seq_ld_equal((T("x*x"), x), (x, x)) is Verdict.NOT_EQUAL
+    assert seq_ld_equal((x, x), (x, x, x)) is Verdict.NOT_EQUAL
+    assert seq_ld_equal((T("x*(x*x)"),), (T("(x*x)*(x*x)"),)) is Verdict.EQUAL
+    # an exhausted budget is UNKNOWN, unless another entry pair differs
+    tiny = LdOracle(size_cap=4, step_cap=10)
+    undecided = (T("(x1*x2)*(x1*x2)"),), (T("x1*x2"),)
+    assert seq_ld_equal(*undecided, tiny) is Verdict.UNKNOWN
+    differing = undecided[0] + (x,), undecided[1] + (T("x*x"),)
+    assert seq_ld_equal(*differing, tiny) is Verdict.NOT_EQUAL
 
 
 def test_find_sq_witness_examples():
@@ -140,6 +146,6 @@ def test_sequence_structure_satisfies_ald_laws_up_to_oracle():
         s, t, u = rand_seq(), rand_seq(), rand_seq()
         ld_l = seq_star(s, seq_star(t, u))
         ld_r = seq_star(seq_star(s, t), seq_star(s, u))
-        assert seq_ld_equal(ld_l, ld_r) is True
-        assert seq_star(seq_concat(s, t), u) == seq_star(s, seq_star(t, u))
-        assert seq_star(s, seq_concat(t, u)) == seq_concat(seq_star(s, t), seq_star(s, u))
+        assert seq_ld_equal(ld_l, ld_r) is Verdict.EQUAL
+        assert seq_star(s + t, u) == seq_star(s, seq_star(t, u))
+        assert seq_star(s, t + u) == seq_star(s, t) + seq_star(s, u)

@@ -29,7 +29,6 @@ from aldbraid.terms import (
     parse_term,
     random_term,
     render_term,
-    seq_concat,
     seq_sq,
     seq_star,
     size,
@@ -113,13 +112,6 @@ def test_seq_star_examples():
     assert seq_star((s1,), (t1,)) == (star(s1, t1),)
     assert seq_star((s1, s2), (t1,)) == (star(s1, star(s2, t1)),)
     assert seq_star((s1,), (t1, t2)) == (star(s1, t1), star(s1, t2))
-
-
-def test_seq_concat():
-    a, b, c = T("x1"), T("x2"), T("x3")
-    assert seq_concat((a,), (b,)) == (a, b)
-    assert seq_concat(seq_concat((a,), (b,)), (c,)) == seq_concat((a,), seq_concat((b,), (c,)))
-    assert len(seq_concat((a, b), (a, b, c))) == 5
 
 
 # ---------------------------------------------------------------------------
