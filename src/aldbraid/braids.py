@@ -164,7 +164,7 @@ def braid_ld(b: BraidWord, c: BraidWord) -> BraidWord:
     return tuple(b) + braid_shift(c) + (1,) + inverse(braid_shift(b))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a decide or freeness round holds under 400 entries
 def eval_star_braid(t: Term, g: BraidWord) -> BraidWord:
     """Evaluate a one-variable *-term at the braid g under the LD operation."""
     if isinstance(t, Variable):

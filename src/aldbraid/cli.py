@@ -25,6 +25,8 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import combinations
 
 from .diagrams import (
     diagram_equal,
@@ -54,6 +56,7 @@ from .pbwords import (
 )
 from .terms import (
     ParseError,
+    circ_cmp,
     decompose_special,
     enumerate_terms,
     is_one_variable,
@@ -62,7 +65,6 @@ from .terms import (
     parse_term,
     render_term,
     seq_sq,
-    circ_less,
 )
 
 EX_EQUAL = 0
@@ -95,43 +97,43 @@ class ExperimentConfig:
 # Experiments
 
 
-def ald_partition(terms, index: LdClassIndex | None = None):
-    """Group terms by their ALD-class key; returns (classes, key_of)."""
-    index = index or LdClassIndex()
+def ald_partition(terms) -> dict:
+    """Group terms by their ALD-class key, each class in order of appearance."""
+    index = LdClassIndex()
     classes: dict = {}
-    key_of = {}
     for t in terms:
-        key = ald_class_key(t, index)
-        key_of[t] = key
-        classes.setdefault(key, []).append(t)
-    return classes, key_of
+        classes.setdefault(ald_class_key(t, index), []).append(t)
+    return classes
 
 
 def _diagram_key(d):
     return (d.dom, d.cod, d.permutation(), sum(1 if x > 0 else -1 for x in d.braid))
 
 
-def _all_distinct(diagrams):
-    """Indices of colliding diagram pairs, using cheap invariants as buckets."""
-    buckets: dict = {}
-    collisions = []
-    for idx, d in enumerate(diagrams):
-        buckets.setdefault(_diagram_key(d), []).append(idx)
-    for bucket in buckets.values():
-        for a_pos, a in enumerate(bucket):
-            for b in bucket[a_pos + 1 :]:
-                if diagram_equal(diagrams[a], diagrams[b]):
-                    collisions.append((a, b))
-    return collisions
+def _equality_labels(diagrams) -> list[int]:
+    """One label per diagram; two labels agree exactly when `diagram_equal`
+    holds.  Each diagram is reduced once, which makes the cheap key a class
+    invariant, and is compared only with the first of each label in its bucket."""
+    reduced = [diagram_reduce(d) for d in diagrams]
+    firsts: dict = {}
+    labels: list[int] = []
+    for idx, d in enumerate(reduced):
+        bucket = firsts.setdefault(_diagram_key(d), [])
+        label = next((f for f in bucket if diagram_equal(reduced[f], d)), idx)
+        if label == idx:
+            bucket.append(idx)
+        labels.append(label)
+    return labels
 
 
 def freeness_scan(config: ExperimentConfig) -> dict:
     """Partition terms into ALD-classes and test that evaluation into the
     diagram model is constant on classes and injective across them, plus the
     critical special-form pairs that must evaluate apart."""
-    terms = [t for t in enumerate_terms(1, "*o", config.max_term_size)]
-    classes, key_of = ald_partition(terms)
-    keys = list(classes)
+    terms = list(enumerate_terms(1, "*o", config.max_term_size))
+    # the checks hold term positions: hashing a term walks all of it
+    position = {t: i for i, t in enumerate(terms)}
+    classes = [[position[t] for t in members] for members in ald_partition(terms).values()]
     report = {
         "max_term_size": config.max_term_size,
         "gammas": [render_pb(g) for g in config.gamma_samples],
@@ -142,48 +144,33 @@ def freeness_scan(config: ExperimentConfig) -> dict:
         "critical_pairs_checked": 0,
         "critical_failures": [],
     }
+
+    def failure(word: str, **at) -> dict:
+        return {"gamma": word, **{key: render_term(terms[i]) for key, i in at.items()}}
+
+    # critical pairs: special forms u[s] vs v[t] with u < v, or u = v and
+    # s strictly below t entrywise, must evaluate apart; skeletons compare by rank
+    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if is_special(t)]
+    skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
+    rank = {u: r for r, u in enumerate(skeletons)}
+    specials = [(i, rank[u], seq) for i, u, seq in specials]
     for gamma in config.gamma_samples:
-        gamma_d = diagram_reduce(word_to_diagram(gamma))
-        cache: dict = {}
-        evals = {t: diagram_reduce(diagram_eval_term(t, gamma_d, cache)) for t in terms}
-        for key in keys:
-            rep, *rest = classes[key]
+        word = render_pb(gamma)
+        gamma_d, cache = word_to_diagram(gamma), {}
+        label = _equality_labels([diagram_eval_term(t, gamma_d, cache) for t in terms])
+        for rep, *rest in classes:
             for other in rest:
-                if not diagram_equal(evals[rep], evals[other]):
-                    report["constant_failures"].append(
-                        {
-                            "gamma": render_pb(gamma),
-                            "term": render_term(other),
-                            "representative": render_term(rep),
-                        }
-                    )
-        reps = [classes[key][0] for key in keys]
-        for a, b in _all_distinct([evals[r] for r in reps]):
-            report["separation_collisions"].append(
-                {
-                    "gamma": render_pb(gamma),
-                    "left": render_term(reps[a]),
-                    "right": render_term(reps[b]),
-                }
-            )
-        # critical pairs: special forms u[s] vs v[t] with u < v, or u = v and
-        # s strictly below t entrywise, must evaluate apart
-        specials = [t for t in terms if is_special(t)]
-        decomposed = {t: decompose_special(t) for t in specials}
-        for s in specials:
-            u, sv = decomposed[s]
-            for t in specials:
-                v, tv = decomposed[t]
-                if circ_less(u, v) or (u == v and seq_sq(sv, tv)):
+                if label[other] != label[rep]:
+                    report["constant_failures"].append(failure(word, term=other, representative=rep))
+        for left, right in combinations([members[0] for members in classes], 2):
+            if label[left] == label[right]:
+                report["separation_collisions"].append(failure(word, left=left, right=right))
+        for s, ru, sv in specials:
+            for t, rv, tv in specials:
+                if ru < rv or (ru == rv and seq_sq(sv, tv)):
                     report["critical_pairs_checked"] += 1
-                    if diagram_equal(evals[s], evals[t]):
-                        report["critical_failures"].append(
-                            {
-                                "gamma": render_pb(gamma),
-                                "left": render_term(s),
-                                "right": render_term(t),
-                            }
-                        )
+                    if label[s] == label[t]:
+                        report["critical_failures"].append(failure(word, left=s, right=t))
     report["ok"] = not (
         report["constant_failures"]
         or report["separation_collisions"]
@@ -238,6 +225,8 @@ def _budget(text: str) -> tuple[int, int]:
         size_cap, step_cap = (int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"budget must be SIZE,STEPS, got {text!r}") from None
+    if step_cap < 1:
+        raise argparse.ArgumentTypeError(f"budget STEPS must be >= 1, got {text!r}")
     return size_cap, step_cap
 
 

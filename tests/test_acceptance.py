@@ -262,6 +262,8 @@ def test_criterion_10_freeness_experiment():
     started = time.time()
     report = freeness_scan(ExperimentConfig(max_term_size=5))
     assert report["term_count"] == 275
+    assert report["class_count"] == 163
+    assert report["critical_pairs_checked"] == 22_760
     assert report["constant_failures"] == []
     assert report["separation_collisions"] == []
     assert report["critical_failures"] == []

@@ -22,7 +22,7 @@ from aldbraid.braids import (
     permutation,
     render_braid,
 )
-from aldbraid.terms import parse_term
+from aldbraid.terms import enumerate_terms, parse_term
 
 B = parse_braid
 
@@ -145,6 +145,15 @@ def test_eval_star_braid():
     w = eval_star_braid(parse_term("(x*x)*x"), ())
     assert w == B("s1 s1 S2")
     assert braid_equal(w, handle_reduce(w))
+
+
+def test_eval_star_braid_cache_is_bounded():
+    # every one-variable *-term of size <= 9: more distinct keys than the cache holds
+    for t in enumerate_terms(1, "*", 9):
+        eval_star_braid(t, ())
+    info = eval_star_braid.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 2_056
 
 
 def test_eval_star_braid_rejects_bad_terms():

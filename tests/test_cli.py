@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from aldbraid.cli import ExperimentConfig, main
-from aldbraid.terms import MAX_DEPTH
+from aldbraid.cli import ExperimentConfig, freeness_scan, main
+from aldbraid.diagrams import gen_sigma, identity_diagram
+from aldbraid.terms import MAX_DEPTH, enumerate_terms
 
 
 def run(capsys, *argv):
@@ -69,12 +70,17 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_budget_below_input_size_exit(capsys):
-    # a closure capped below either term's size could only answer "unknown"
-    for budget in ("1,10", "3,10"):
-        argv = ("decide-ld", "--budget", budget, "x1*(x2*x3)", "(x1*x2)*(x1*x3)")
+    # a closure capped below either term's size, or at no step, could only answer "unknown"
+    for command, budget, message in (
+        ("decide-ld", "1,10", "size_cap"),
+        ("decide-ld", "3,10", "size_cap"),
+        ("decide-ld", "5,0", "STEPS"),
+        ("decide-ald", "9,-3", "STEPS"),
+    ):
+        argv = (command, "--budget", budget, "x1*(x2*x3)", "(x1*x2)*(x1*x3)")
         code, _, err = run(capsys, *argv)
-        assert code == 64
-        assert "size_cap" in err
+        assert code == 64, argv
+        assert message in err, argv
 
 
 def test_depth_limit(capsys):
@@ -165,6 +171,32 @@ def test_freeness_scan_small(capsys):
     assert payload["class_count"] == 10
     assert payload["constant_failures"] == []
     assert payload["separation_collisions"] == []
+    assert payload["critical_pairs_checked"] == 136
+
+
+def test_freeness_scan_reports_a_constant_evaluation(capsys, monkeypatch):
+    # one value for every term: each check but constancy must fire
+    monkeypatch.setattr("aldbraid.cli.diagram_eval_term", lambda t, g, cache=None: identity_diagram())
+    report = freeness_scan(ExperimentConfig(max_term_size=3))
+    assert report["constant_failures"] == []
+    assert len(report["separation_collisions"]) == 45 * 4
+    assert len(report["critical_failures"]) == 136
+    assert report["ok"] is False
+    code, out, _ = run(capsys, "freeness-scan", "--max-size", "3")
+    assert code == 1 and out.splitlines()[-1] == "FAILED"
+
+
+def test_freeness_scan_reports_an_injective_evaluation(monkeypatch):
+    # a different value for every term: only the one class of two terms fails
+    position = {t: i for i, t in enumerate(enumerate_terms(1, "*o", 3))}
+    monkeypatch.setattr(
+        "aldbraid.cli.diagram_eval_term", lambda t, g, cache=None: gen_sigma(position[t] + 1)
+    )
+    report = freeness_scan(ExperimentConfig(max_term_size=3))
+    assert len(report["constant_failures"]) == 4
+    assert report["separation_collisions"] == []
+    assert report["critical_failures"] == []
+    assert report["ok"] is False
 
 
 def test_freeness_scan_custom_gamma(capsys):
