@@ -10,9 +10,10 @@ The group structure comes from strand splitting: replacing strand k by two
 parallel strands adds a caret to the matching leaf on both trees and cables
 the braid (each crossing of the tracked strand becomes two).  Splitting does
 not change the element represented, so two diagrams multiply by refining
-until the middle trees agree, and a diagram is compared by first reducing it
-(undoing every splitting it contains) and then comparing trees structurally
-and braids by handle reduction.  Whether a caret pair may be cancelled is
+each side to the join of the middle trees, cabling its braid in one pass,
+and a diagram is compared by first reducing it (undoing every splitting it
+contains) and then comparing trees structurally and braids by handle
+reduction.  Whether a caret pair may be cancelled is
 decided semantically: merge, re-split, and accept only if the braid comes
 back unchanged up to braid equality.
 
@@ -27,7 +28,8 @@ parenthesized leaf pattern like `(x(xx))`, a diagram as
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import (
@@ -40,7 +42,7 @@ from .braids import (
     render_braid,
 )
 from .pbwords import PBWord
-from .terms import CIRC, Compound, Term, Variable, X, size, x_power
+from .terms import CIRC, MAX_DEPTH, Compound, Term, Variable, X, size, x_power
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +79,24 @@ def parse_tree_pattern(text: str) -> Term:
     return t
 
 
+def _graft(t: Term, subtrees: list[Term]) -> Term:
+    """Replace the k-th leaf of t by subtrees[k-1]."""
+    it = iter(subtrees)
+
+    def go(node: Term) -> Term:
+        if isinstance(node, Variable):
+            return next(it)
+        return Compound(CIRC, go(node.left), go(node.right))
+
+    return go(t)
+
+
 def add_caret(t: Term, leaf: int) -> Term:
     """Replace the leaf-th leaf (1-based, left to right) by a caret."""
-
-    def go(node: Term, k: int) -> tuple[Term, int]:
-        if isinstance(node, Variable):
-            if k == leaf:
-                return Compound(CIRC, X, X), k + 1
-            return node, k + 1
-        left, k = go(node.left, k)
-        right, k = go(node.right, k)
-        return Compound(CIRC, left, right), k
-
-    out, counted = go(t, 1)
-    if leaf < 1 or leaf >= counted:
+    n = size(t)
+    if not 1 <= leaf <= n:
         raise ValueError(f"leaf {leaf} out of range")
-    return out
+    return _graft(t, [Compound(CIRC, X, X) if k == leaf else X for k in range(1, n + 1)])
 
 
 def sibling_leaf_pairs(t: Term) -> list[int]:
@@ -143,21 +147,20 @@ def tree_join(t1: Term, t2: Term) -> Term:
     return Compound(CIRC, tree_join(t1.left, t2.left), tree_join(t1.right, t2.right))
 
 
-def first_missing_leaf(t: Term, target: Term) -> int | None:
-    """Leftmost leaf of t sitting where target has an internal node."""
+def _leaf_subtrees(t: Term, refined: Term) -> list[Term]:
+    """The subtree of `refined` under each leaf of t, left to right; t must be
+    refined by `refined` in the caret order."""
+    out: list[Term] = []
 
-    def go(node: Term, goal: Term, k: int) -> tuple[int | None, int]:
+    def go(node: Term, goal: Term) -> None:
         if isinstance(node, Variable):
-            if isinstance(goal, Variable):
-                return None, k + 1
-            return k, k + 1
-        found, k = go(node.left, goal.left, k)
-        if found is not None:
-            return found, k
-        return go(node.right, goal.right, k)
+            out.append(goal)
+        else:
+            go(node.left, goal.left)
+            go(node.right, goal.right)
 
-    found, _ = go(t, target, 1)
-    return found
+    go(t, refined)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,7 @@ class PBDiagram:
     dom: Term
     braid: BraidWord
     cod: Term
+    strands: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = size(self.dom)
@@ -176,10 +180,7 @@ class PBDiagram:
             raise ValueError("dom and cod must have the same number of leaves")
         if any(abs(x) < 1 or abs(x) >= n for x in self.braid):
             raise ValueError("braid indices must lie in [1, n-1]")
-
-    @property
-    def strands(self) -> int:
-        return size(self.dom)
+        object.__setattr__(self, "strands", n)
 
     def permutation(self) -> tuple[int, ...]:
         return permutation(self.braid, self.strands)
@@ -204,42 +205,62 @@ def identity_diagram() -> PBDiagram:
     return PBDiagram(X, (), X)
 
 
-def gen_sigma(i: int) -> PBDiagram:
+def _check_index(i: int) -> None:
     if i < 1:
         raise ValueError("index must be >= 1")
+    # the generator's comb has i+2 leaves, and every tree helper recurses on its depth
+    if i + 2 > MAX_DEPTH:
+        raise ValueError(f"letter index {i} needs a comb of {i + 2} leaves, more than {MAX_DEPTH}")
+
+
+def gen_sigma(i: int) -> PBDiagram:
+    _check_index(i)
     comb = x_power(i + 2)
     return PBDiagram(comb, (i,), comb)
 
 
 def gen_a(i: int) -> PBDiagram:
-    if i < 1:
-        raise ValueError("index must be >= 1")
+    _check_index(i)
     return PBDiagram(x_power(i + 2), (), add_caret(x_power(i + 1), i))
+
+
+def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWord:
+    """Replace the strand starting at position n by widths[n-1] parallel
+    strands.  A crossing of a width-a block over a width-b block starting at
+    position p becomes the a*b crossings e*(p+j+k), j over the left block
+    from a-1 down to 0 and k over the right block from 0 to b-1.  The block
+    with the lower rank (refined first caret by caret) is the outer loop;
+    either order gives the same braid."""
+    strand = list(range(len(widths)))  # by current position
+    start = [1]  # first cabled position of each current position
+    for w in widths:
+        start.append(start[-1] + w)
+    out: list[int] = []
+    for x in braid:
+        i = abs(x)
+        s, t = strand[i - 1], strand[i]
+        a, b, p = widths[s], widths[t], start[i - 1]
+        e = 1 if x > 0 else -1
+        if a == b == 1:
+            out.append(e * p)
+        elif rank[s] < rank[t]:
+            out += [e * (p + j + k) for j in range(a - 1, -1, -1) for k in range(b)]
+        else:
+            out += [e * (p + j + k) for k in range(b) for j in range(a - 1, -1, -1)]
+        strand[i - 1], strand[i] = t, s
+        start[i] = p + b
+    return tuple(out)
 
 
 def split_strand(d: PBDiagram, k: int) -> PBDiagram:
     """Replace strand k (1-based dom leaf) by two parallel strands."""
     if not 1 <= k <= d.strands:
         raise ValueError(f"strand {k} out of range")
-    cabled: list[int] = []
-    c = k  # current position of the first cable strand
-    for x in d.braid:
-        i = abs(x)
-        e = 1 if x > 0 else -1
-        if i == c:
-            # the cable at (i, i+1) crosses the strand at i+2
-            cabled += [e * (i + 1), e * i]
-            c = i + 1
-        elif i + 1 == c:
-            # the strand at i crosses the cable at (i+1, i+2)
-            cabled += [e * i, e * (i + 1)]
-            c = i
-        elif i > c:
-            cabled.append(e * (i + 1))
-        else:
-            cabled.append(x)
-    end = d.permutation()[k - 1]
-    return PBDiagram(add_caret(d.dom, k), tuple(cabled), add_caret(d.cod, end))
+    widths = [1] * d.strands
+    widths[k - 1] = 2
+    perm = d.permutation()
+    cabled = _cable(d.braid, widths, perm)
+    return PBDiagram(add_caret(d.dom, k), cabled, add_caret(d.cod, perm[k - 1]))
 
 
 def _remove_strand(braid: BraidWord, k: int) -> BraidWord:
@@ -309,17 +330,19 @@ def diagram_reduce(d: PBDiagram, rng: random.Random | None = None) -> PBDiagram:
 
 
 def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
-    """Stack d2 below d1, refining both until the middle trees agree."""
+    """Stack d2 below d1, refining each side to the middle tree in one pass.
+    d1's strands rank by their cod leaf and d2's by their dom leaf, as in a
+    leftmost-first refinement one caret at a time."""
     middle = tree_join(d1.cod, d2.dom)
-    while d1.cod != middle:
-        q = first_missing_leaf(d1.cod, middle)
-        k = d1.permutation().index(q) + 1
-        d1 = split_strand(d1, k)
-    while d2.dom != middle:
-        d2 = split_strand(d2, first_missing_leaf(d2.dom, middle))
-    return diagram_reduce(
-        PBDiagram(d1.dom, free_reduce(d1.braid + d2.braid), d2.cod)
+    perm1, perm2 = d1.permutation(), d2.permutation()
+    below = _leaf_subtrees(d1.cod, middle)
+    top = [below[q - 1] for q in perm1]
+    above = _leaf_subtrees(d2.dom, middle)
+    bottom = [above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)]
+    braid = _cable(d1.braid, [size(t) for t in top], perm1) + _cable(
+        d2.braid, [size(t) for t in above], range(d2.strands)
     )
+    return diagram_reduce(PBDiagram(_graft(d1.dom, top), free_reduce(braid), _graft(d2.cod, bottom)))
 
 
 def diagram_inverse(d: PBDiagram) -> PBDiagram:

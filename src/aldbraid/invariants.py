@@ -142,13 +142,21 @@ class LdClassIndex:
 
     Classes are keyed by the braid evaluation at the trivial braid; the
     handle-reduced representatives are kept sorted in the braid order so a
-    lookup costs O(log n) comparisons.
+    lookup costs O(log n) comparisons.  A term's class never changes once
+    found, so each distinct term is looked up once per index.
     """
 
     def __init__(self):
         self._reps: list = []
+        self._ids: dict = {}
 
     def class_id(self, t: Term) -> int:
+        found = self._ids.get(t)
+        if found is None:
+            found = self._ids[t] = self._lookup(t)
+        return found
+
+    def _lookup(self, t: Term) -> int:
         word = handle_reduce(eval_star_braid(t, ()))
         lo, hi = 0, len(self._reps)
         while lo < hi:

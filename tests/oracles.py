@@ -1,16 +1,20 @@
 """Independent brute-force oracles used by the test suite.
 
 Nothing here may call the algorithms under test: the braid-word oracle is a
-union-find closure under elementary relation moves, and the class index used
+union-find closure under elementary relation moves, the class index used
 for cross-checks keys classes only through functions being validated against
-it elsewhere.
+it elsewhere, and `multiply_by_splitting` refines a diagram product one caret
+at a time, which the one-pass `diagram_multiply` must reproduce letter for
+letter.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from aldbraid.braids import braid_compare, handle_reduce
+from aldbraid.braids import braid_compare, free_reduce, handle_reduce
+from aldbraid.diagrams import PBDiagram, add_caret, diagram_reduce, tree_join
+from aldbraid.terms import Variable
 
 
 def braid_letters(max_index: int) -> list[int]:
@@ -119,3 +123,52 @@ class BraidClassIndex:
         new_id = len(self.reps)
         self.reps.insert(lo, (word, new_id))
         return new_id
+
+
+def _first_missing_leaf(t, target):
+    """Leftmost leaf of t sitting where target has an internal node."""
+
+    def go(node, goal, k):
+        if isinstance(node, Variable):
+            if isinstance(goal, Variable):
+                return None, k + 1
+            return k, k + 1
+        found, k = go(node.left, goal.left, k)
+        if found is not None:
+            return found, k
+        return go(node.right, goal.right, k)
+
+    return go(t, target, 1)[0]
+
+
+def _split_one_strand(d, k):
+    """Split strand k in two, cabling the braid one letter at a time."""
+    cabled = []
+    c = k  # current position of the first cable strand
+    for x in d.braid:
+        i = abs(x)
+        e = 1 if x > 0 else -1
+        if i == c:
+            cabled += [e * (i + 1), e * i]
+            c = i + 1
+        elif i + 1 == c:
+            cabled += [e * i, e * (i + 1)]
+            c = i
+        elif i > c:
+            cabled.append(e * (i + 1))
+        else:
+            cabled.append(x)
+    end = d.permutation()[k - 1]
+    return PBDiagram(add_caret(d.dom, k), tuple(cabled), add_caret(d.cod, end))
+
+
+def multiply_by_splitting(d1, d2):
+    """Diagram product that refines each side one caret at a time, leftmost
+    missing caret first, until both meet the middle tree."""
+    middle = tree_join(d1.cod, d2.dom)
+    while d1.cod != middle:
+        q = _first_missing_leaf(d1.cod, middle)
+        d1 = _split_one_strand(d1, d1.permutation().index(q) + 1)
+    while d2.dom != middle:
+        d2 = _split_one_strand(d2, _first_missing_leaf(d2.dom, middle))
+    return diagram_reduce(PBDiagram(d1.dom, free_reduce(d1.braid + d2.braid), d2.cod))

@@ -93,6 +93,20 @@ def test_depth_limit(capsys):
         assert "nested deeper" in err
 
 
+def test_large_letter_index_exit_64(capsys):
+    # a generator's comb has index + 2 leaves, at most MAX_DEPTH
+    code, out, _ = run(capsys, "eval", "--diagram", "x", "s198")
+    assert code == 0 and json.loads(out)["braid"] == "s198"
+    for argv in (
+        ["eval", "--diagram", "x", "s1000"],
+        ["eval", "--diagram", "x", "a1000"],
+        ["freeness-scan", "--max-size", "2", "--gamma", "s1000"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert err.startswith("error:") and "1002 leaves" in err
+
+
 def test_decide_ld(capsys):
     code, out, _ = run(capsys, "decide-ld", "x*x", "(x*x)*x")
     assert code == 1 and out.strip() == "less"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aldbraid import diagrams
 from aldbraid.diagrams import (
     PBDiagram,
     diagram_equal,
@@ -20,7 +21,8 @@ from aldbraid.diagrams import (
     word_to_diagram,
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, relation_instances
-from aldbraid.terms import parse_term, x_power
+from aldbraid.terms import enumerate_terms, parse_term, x_power
+from oracles import multiply_by_splitting
 
 W = parse_pb
 
@@ -101,6 +103,37 @@ def test_multiply_identity_and_inverse():
     assert diagram_equal(
         diagram_multiply(gen_a(1), diagram_inverse(gen_a(1))), identity_diagram()
     )
+
+
+def test_multiply_matches_caret_by_caret_refinement():
+    letters = [gen(i) for gen in (gen_sigma, gen_a) for i in (1, 2, 3)]
+    letters += [diagram_inverse(d) for d in letters]
+    for d1 in letters:
+        for d2 in letters:
+            assert diagram_multiply(d1, d2) == multiply_by_splitting(d1, d2)
+    rng = random.Random(97)
+    pool = list(W("s1 S1 s2 S2 s3 S3 a1 A1 a2 A2 a3 A3"))
+    for _ in range(300):
+        u, v = (tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))) for _ in "uv")
+        d1, d2 = word_to_diagram(u), word_to_diagram(v)
+        assert diagram_multiply(d1, d2) == multiply_by_splitting(d1, d2)
+
+
+def test_multiply_matches_caret_by_caret_refinement_in_term_evaluation(monkeypatch):
+    # the operands of every diagram_star/diagram_circ product at size <= 5
+    multiply, operands = diagrams.diagram_multiply, []
+    gammas = [word_to_diagram(W(g)) for g in ("", "s1", "a1", "s1 a2")]
+    monkeypatch.setattr(
+        diagrams, "diagram_multiply", lambda d1, d2: operands.append((d1, d2)) or multiply(d1, d2)
+    )
+    for g in gammas:
+        cache = {}
+        for t in enumerate_terms(1, "*o", 5):
+            diagram_eval_term(t, g, cache)
+    monkeypatch.undo()
+    assert len(operands) > 2_000
+    for d1, d2 in operands:
+        assert multiply(d1, d2) == multiply_by_splitting(d1, d2)
 
 
 def test_multiply_associative_braid_relation():

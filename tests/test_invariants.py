@@ -1,7 +1,11 @@
+import math
 import random
 
 import pytest
 
+from aldbraid import invariants
+from aldbraid.braids import eval_star_braid
+from aldbraid.cli import ald_partition
 from aldbraid.invariants import (
     LdClassIndex,
     ald_class_key,
@@ -27,6 +31,7 @@ from aldbraid.terms import (
     random_term,
     size,
 )
+from oracles import BraidClassIndex
 
 T = parse_term
 ALD_LAWS = (LD, ALD1, ALD2)
@@ -154,6 +159,22 @@ def test_ald_class_key_partitions_like_decide_ald():
     for s in terms:
         for t in terms:
             assert (keys[s] == keys[t]) == (decide_ald(s, t).kind == "equal")
+
+
+def test_class_index_looks_up_each_distinct_entry_once(monkeypatch):
+    terms = list(enumerate_terms(1, "*o", 5))
+    compare, calls = invariants.braid_compare, []
+    monkeypatch.setattr(invariants, "braid_compare", lambda u, v: calls.append(1) or compare(u, v))
+    classes = ald_partition(terms)
+    monkeypatch.undo()
+    distinct = len({e for t in terms for e in inv_J(t)})
+    assert len(calls) <= distinct * (math.ceil(math.log2(distinct)) + 1)
+    # the same partition as a fresh test-side class index over the whole term list
+    reference, expected = BraidClassIndex(), {}
+    for t in terms:
+        entries = tuple(reference.class_id(eval_star_braid(e, ())) for e in inv_J(t))
+        expected.setdefault((inv_I(t), entries), []).append(t)
+    assert list(classes.values()) == list(expected.values())
 
 
 def test_ald_class_key_invariants():
