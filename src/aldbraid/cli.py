@@ -107,7 +107,7 @@ def ald_partition(terms) -> dict:
 
 
 def _diagram_key(d):
-    return (d.dom, d.cod, d.permutation(), sum(1 if x > 0 else -1 for x in d.braid))
+    return (d.dom, d.cod, d.permutation, sum(1 if x > 0 else -1 for x in d.braid))
 
 
 def _equality_labels(diagrams) -> list[int]:
@@ -131,7 +131,7 @@ def freeness_scan(config: ExperimentConfig) -> dict:
     diagram model is constant on classes and injective across them, plus the
     critical special-form pairs that must evaluate apart."""
     terms = list(enumerate_terms(1, "*o", config.max_term_size))
-    # the checks hold term positions: hashing a term walks all of it
+    # the checks hold term positions, which index each word's label list
     position = {t: i for i, t in enumerate(terms)}
     classes = [[position[t] for t in members] for members in ald_partition(terms).values()]
     report = {

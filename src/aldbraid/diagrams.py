@@ -79,7 +79,15 @@ def parse_tree_pattern(text: str) -> Term:
     return t
 
 
-def _graft(t: Term, subtrees: list[Term]) -> Term:
+#: Entries each node-keyed tree cache keeps.  Trees are interned terms, so a
+#: lookup hashes and compares its arguments in O(1).  A one-word size-6
+#: freeness scan makes at most 402 distinct keys per cache; a one-word size-7
+#: evaluation makes up to 2,790 and evicts, but still hits over 90%.
+TREE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _graft(t: Term, subtrees: tuple[Term, ...]) -> Term:
     """Replace the k-th leaf of t by subtrees[k-1]."""
     it = iter(subtrees)
 
@@ -96,10 +104,11 @@ def add_caret(t: Term, leaf: int) -> Term:
     n = size(t)
     if not 1 <= leaf <= n:
         raise ValueError(f"leaf {leaf} out of range")
-    return _graft(t, [Compound(CIRC, X, X) if k == leaf else X for k in range(1, n + 1)])
+    return _graft(t, tuple([Compound(CIRC, X, X) if k == leaf else X for k in range(1, n + 1)]))
 
 
-def sibling_leaf_pairs(t: Term) -> list[int]:
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def sibling_leaf_pairs(t: Term) -> tuple[int, ...]:
     """Positions p such that leaves p and p+1 are the two children of a caret."""
     out: list[int] = []
 
@@ -113,9 +122,10 @@ def sibling_leaf_pairs(t: Term) -> list[int]:
         return go(node.right, k)
 
     go(t, 1)
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=TREE_CACHE_SIZE)
 def collapse_caret(t: Term, leaf: int) -> Term:
     """Merge the caret over leaves (leaf, leaf+1) back into a single leaf."""
 
@@ -138,6 +148,7 @@ def collapse_caret(t: Term, leaf: int) -> Term:
     return out
 
 
+@lru_cache(maxsize=TREE_CACHE_SIZE)
 def tree_join(t1: Term, t2: Term) -> Term:
     """Smallest common refinement in the caret order."""
     if isinstance(t1, Variable):
@@ -147,7 +158,8 @@ def tree_join(t1: Term, t2: Term) -> Term:
     return Compound(CIRC, tree_join(t1.left, t2.left), tree_join(t1.right, t2.right))
 
 
-def _leaf_subtrees(t: Term, refined: Term) -> list[Term]:
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _leaf_subtrees(t: Term, refined: Term) -> tuple[Term, ...]:
     """The subtree of `refined` under each leaf of t, left to right; t must be
     refined by `refined` in the caret order."""
     out: list[Term] = []
@@ -160,7 +172,7 @@ def _leaf_subtrees(t: Term, refined: Term) -> list[Term]:
             go(node.right, goal.right)
 
     go(t, refined)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +185,17 @@ class PBDiagram:
     braid: BraidWord
     cod: Term
     strands: int = field(init=False, compare=False, repr=False)
+    #: strand k (1-based dom leaf) ends on cod leaf permutation[k-1]
+    permutation: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = size(self.dom)
         if size(self.cod) != n:
             raise ValueError("dom and cod must have the same number of leaves")
-        if any(abs(x) < 1 or abs(x) >= n for x in self.braid):
+        if 0 in self.braid or max(map(abs, self.braid), default=0) >= n:
             raise ValueError("braid indices must lie in [1, n-1]")
         object.__setattr__(self, "strands", n)
-
-    def permutation(self) -> tuple[int, ...]:
-        return permutation(self.braid, self.strands)
+        object.__setattr__(self, "permutation", permutation(self.braid, n))
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +220,8 @@ def identity_diagram() -> PBDiagram:
 def _check_index(i: int) -> None:
     if i < 1:
         raise ValueError("index must be >= 1")
-    # the generator's comb has i+2 leaves, and every tree helper recurses on its depth
+    # the generator's comb has i+2 leaves, and the tree helpers that walk a
+    # tree (tree_pattern, _graft, tree_join, ...) recurse on its depth
     if i + 2 > MAX_DEPTH:
         raise ValueError(f"letter index {i} needs a comb of {i + 2} leaves, more than {MAX_DEPTH}")
 
@@ -231,6 +244,8 @@ def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWor
     from a-1 down to 0 and k over the right block from 0 to b-1.  The block
     with the lower rank (refined first caret by caret) is the outer loop;
     either order gives the same braid."""
+    if max(widths) == 1:
+        return tuple(braid)
     strand = list(range(len(widths)))  # by current position
     start = [1]  # first cabled position of each current position
     for w in widths:
@@ -258,7 +273,7 @@ def split_strand(d: PBDiagram, k: int) -> PBDiagram:
         raise ValueError(f"strand {k} out of range")
     widths = [1] * d.strands
     widths[k - 1] = 2
-    perm = d.permutation()
+    perm = d.permutation
     cabled = _cable(d.braid, widths, perm)
     return PBDiagram(add_caret(d.dom, k), cabled, add_caret(d.cod, perm[k - 1]))
 
@@ -293,7 +308,7 @@ def reduction_sites(d: PBDiagram) -> list[ReductionSite]:
     """Sites whose leaf pairs are siblings on both sides and matched by the
     braid's permutation; whether a site actually cancels is decided
     semantically by merge-and-resplit."""
-    perm = d.permutation()
+    perm = d.permutation
     cod_pairs = set(sibling_leaf_pairs(d.cod))
     out = []
     for p in sibling_leaf_pairs(d.dom):
@@ -334,11 +349,15 @@ def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
     d1's strands rank by their cod leaf and d2's by their dom leaf, as in a
     leftmost-first refinement one caret at a time."""
     middle = tree_join(d1.cod, d2.dom)
-    perm1, perm2 = d1.permutation(), d2.permutation()
+    perm1, perm2 = d1.permutation, d2.permutation
     below = _leaf_subtrees(d1.cod, middle)
-    top = [below[q - 1] for q in perm1]
+    # the graft keys are tuples built from lists, not from generators: CPython
+    # grows a tuple built from a generator from 10 slots, and such tuples, once
+    # freed, pile up in its per-length free lists (1 MiB more peak memory in
+    # the word-model checks)
+    top = tuple([below[q - 1] for q in perm1])
     above = _leaf_subtrees(d2.dom, middle)
-    bottom = [above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)]
+    bottom = tuple([above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)])
     braid = _cable(d1.braid, [size(t) for t in top], perm1) + _cable(
         d2.braid, [size(t) for t in above], range(d2.strands)
     )

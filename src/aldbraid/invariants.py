@@ -143,7 +143,8 @@ class LdClassIndex:
     Classes are keyed by the braid evaluation at the trivial braid; the
     handle-reduced representatives are kept sorted in the braid order so a
     lookup costs O(log n) comparisons.  A term's class never changes once
-    found, so each distinct term is looked up once per index.
+    found, so each distinct term is looked up once per index, in a dict
+    keyed on the interned term node (an O(1) hash and identity test).
     """
 
     def __init__(self):

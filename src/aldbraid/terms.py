@@ -24,7 +24,8 @@ operand never is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -39,24 +40,84 @@ ALD1 = "ald1"
 ALD2 = "ald2"
 
 
-@dataclass(frozen=True)
-class Variable:
-    index: int
+# Terms are hash-consed (Filliâtre–Conchon, "Type-safe modular hash-consing",
+# ML Workshop 2006): the constructors return the existing node for a variable
+# index or an (op, left, right) triple, so structurally equal terms are one
+# object and `==` is identity.  Each node caches its size and its structural
+# hash, hash((index,)) or hash((op, left, right)), when it is built, so hashes
+# and set orders do not depend on where a node was allocated.  The table holds
+# its nodes weakly, so a term lives as long as something else holds it; a
+# Compound's key names its children by id, which is safe because a live node
+# holds its children.
+_interned: dict = {}
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+
+def _forget(ref: weakref.KeyedRef, table: dict = _interned) -> None:
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
-@dataclass(frozen=True)
-class Compound:
-    op: str
-    left: Term
-    right: Term
+class _Node:
+    __slots__ = ("size", "_hash", "__weakref__")
 
-    def __post_init__(self):
-        if self.op not in (STAR, CIRC):
-            raise ValueError(f"unknown operator {self.op!r}")
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Variable(_Node):
+    __slots__ = ("index",)
+
+    def __new__(cls, index: int) -> Variable:
+        ref = _interned.get(index)
+        node = ref() if ref is not None else None
+        if node is None:
+            if index < 1:
+                raise ValueError(f"variable index must be >= 1, got {index}")
+            node = object.__new__(cls)
+            _set(node, "index", index)
+            _set(node, "size", 1)
+            _set(node, "_hash", hash((index,)))
+            _interned[index] = weakref.KeyedRef(node, _forget, index)
+        return node
+
+    def __reduce__(self):
+        return Variable, (self.index,)
+
+    def __repr__(self) -> str:
+        return f"Variable(index={self.index!r})"
+
+
+class Compound(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __new__(cls, op: str, left: Term, right: Term) -> Compound:
+        key = (op, id(left), id(right))
+        ref = _interned.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            if op not in (STAR, CIRC):
+                raise ValueError(f"unknown operator {op!r}")
+            node = object.__new__(cls)
+            _set(node, "op", op)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _set(node, "size", left.size + right.size)
+            _set(node, "_hash", hash((op, left, right)))
+            _interned[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+    def __reduce__(self):
+        return Compound, (self.op, self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"Compound(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
 Term = Union[Variable, Compound]
@@ -95,7 +156,10 @@ class LawInstance:
 
 
 #: Deepest nesting of operators and parentheses that parse_term accepts: the
-#: term functions recurse once per level, and deeper terms overflow the stack.
+#: functions that walk a term (render_term, inv_I/inv_J, substitute, the tree
+#: helpers of `diagrams`, ...) recurse once per level, and deeper terms
+#: overflow the stack.  Hashing, equality and size read cached fields and
+#: take terms of any depth.
 MAX_DEPTH = 200
 
 
@@ -201,10 +265,8 @@ def render_term(t: Term) -> str:
 
 
 def size(t: Term) -> int:
-    """Number of variable occurrences (leaf count)."""
-    if isinstance(t, Variable):
-        return 1
-    return size(t.left) + size(t.right)
+    """Number of variable occurrences (leaf count), cached on the node."""
+    return t.size
 
 
 def ht_r(t: Term) -> int:

@@ -3,18 +3,29 @@
 Nothing here may call the algorithms under test: the braid-word oracle is a
 union-find closure under elementary relation moves, the class index used
 for cross-checks keys classes only through functions being validated against
-it elsewhere, and `multiply_by_splitting` refines a diagram product one caret
+it elsewhere, `multiply_by_splitting` refines a diagram product one caret
 at a time, which the one-pass `diagram_multiply` must reproduce letter for
-letter.
+letter, and the structural terms below are plain frozen dataclasses that
+compare and hash by walking the whole term, where the package's terms are
+interned; `struct_eval_diagram` memoizes on them, and the differential test
+runs it without the node-keyed tree caches of `diagrams`.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from aldbraid.braids import braid_compare, free_reduce, handle_reduce
-from aldbraid.diagrams import PBDiagram, add_caret, diagram_reduce, tree_join
-from aldbraid.terms import Variable
+from aldbraid.diagrams import (
+    PBDiagram,
+    add_caret,
+    diagram_circ,
+    diagram_reduce,
+    diagram_star,
+    tree_join,
+)
+from aldbraid.terms import Compound, Variable
 
 
 def braid_letters(max_index: int) -> list[int]:
@@ -158,7 +169,7 @@ def _split_one_strand(d, k):
             cabled.append(e * (i + 1))
         else:
             cabled.append(x)
-    end = d.permutation()[k - 1]
+    end = d.permutation[k - 1]
     return PBDiagram(add_caret(d.dom, k), tuple(cabled), add_caret(d.cod, end))
 
 
@@ -168,7 +179,77 @@ def multiply_by_splitting(d1, d2):
     middle = tree_join(d1.cod, d2.dom)
     while d1.cod != middle:
         q = _first_missing_leaf(d1.cod, middle)
-        d1 = _split_one_strand(d1, d1.permutation().index(q) + 1)
+        d1 = _split_one_strand(d1, d1.permutation.index(q) + 1)
     while d2.dom != middle:
         d2 = _split_one_strand(d2, _first_missing_leaf(d2.dom, middle))
     return diagram_reduce(PBDiagram(d1.dom, free_reduce(d1.braid + d2.braid), d2.cod))
+
+
+@dataclass(frozen=True)
+class StructVariable:
+    index: int
+
+
+@dataclass(frozen=True)
+class StructCompound:
+    op: str
+    left: StructVariable | StructCompound
+    right: StructVariable | StructCompound
+
+
+def to_struct(t):
+    """The structural copy of an interned term."""
+    if isinstance(t, Variable):
+        return StructVariable(t.index)
+    return StructCompound(t.op, to_struct(t.left), to_struct(t.right))
+
+
+def from_struct(s):
+    """The interned term of a structural one."""
+    if isinstance(s, StructVariable):
+        return Variable(s.index)
+    return Compound(s.op, from_struct(s.left), from_struct(s.right))
+
+
+def struct_render(s) -> str:
+    if isinstance(s, StructVariable):
+        return f"x{s.index}"
+    left = struct_render(s.left)
+    if isinstance(s.left, StructCompound):
+        left = f"({left})"
+    sep = s.op if s.op == "*" else " o "
+    return f"{left}{sep}{struct_render(s.right)}"
+
+
+def struct_inv_I(s):
+    if isinstance(s, StructVariable):
+        return StructVariable(1)
+    if s.op == "*":
+        return struct_inv_I(s.right)
+    return StructCompound("o", struct_inv_I(s.left), struct_inv_I(s.right))
+
+
+def struct_inv_J(s) -> tuple:
+    if isinstance(s, StructVariable):
+        return (s,)
+    if s.op == "*":
+        out = []
+        for entry in struct_inv_J(s.right):
+            for factor in reversed(struct_inv_J(s.left)):
+                entry = StructCompound("*", factor, entry)
+            out.append(entry)
+        return tuple(out)
+    return struct_inv_J(s.left) + struct_inv_J(s.right)
+
+
+def struct_eval_diagram(s, g, memo: dict):
+    """Evaluate a one-variable structural term at the diagram g, memoized
+    on structural equality."""
+    if s not in memo:
+        if isinstance(s, StructVariable):
+            memo[s] = g
+        else:
+            left = struct_eval_diagram(s.left, g, memo)
+            right = struct_eval_diagram(s.right, g, memo)
+            memo[s] = (diagram_star if s.op == "*" else diagram_circ)(left, right)
+    return memo[s]

@@ -1,0 +1,95 @@
+"""Hash-consed terms: interning against the structural oracle terms, bounded
+memory, and terms deeper than the recursion limit."""
+
+import gc
+import random
+
+from aldbraid import diagrams, terms
+from aldbraid.diagrams import diagram_eval_term, word_to_diagram
+from aldbraid.invariants import inv_I, inv_J
+from aldbraid.pbwords import parse_pb
+from aldbraid.terms import (
+    STAR,
+    Compound,
+    X,
+    enumerate_terms,
+    parse_term,
+    random_term,
+    render_term,
+    size,
+)
+from oracles import (
+    from_struct,
+    struct_eval_diagram,
+    struct_inv_I,
+    struct_inv_J,
+    struct_render,
+    to_struct,
+)
+
+GAMMAS = ("", "s1", "a1", "s1 a2")
+TREE_CACHES = ("_graft", "sibling_leaf_pairs", "tree_join", "_leaf_subtrees", "collapse_caret")
+
+
+def test_interned_terms_agree_with_structural_terms(monkeypatch):
+    ts = list(enumerate_terms(1, "*o", 6))
+    structs = [to_struct(t) for t in ts]
+    for t, s in zip(ts, structs):
+        text = render_term(t)
+        assert struct_render(s) == text
+        assert from_struct(s) is t
+        assert parse_term(text) is t
+        assert to_struct(parse_term(text)) == s
+        assert to_struct(inv_I(t)) == struct_inv_I(s)
+        assert tuple(to_struct(e) for e in inv_J(t)) == struct_inv_J(s)
+    gammas = [word_to_diagram(parse_pb(g)) for g in GAMMAS]
+    interned = []
+    for g in gammas:
+        cache = {}
+        interned.append([diagram_eval_term(t, g, cache) for t in ts])
+    # the old path: structural memo keys and no node-keyed tree caches
+    for name in TREE_CACHES:
+        monkeypatch.setattr(diagrams, name, getattr(diagrams, name).__wrapped__)
+    for g, evaluations in zip(gammas, interned):
+        memo = {}
+        assert [struct_eval_diagram(s, g, memo) for s in structs] == evaluations
+
+
+def test_intern_table_drops_unreferenced_terms():
+    gc.collect()
+    before = len(terms._interned)
+    rng = random.Random(5)
+    batch = [random_term(rng, 12, n_vars=40) for _ in range(200)]
+    assert len(terms._interned) > before
+    del batch
+    gc.collect()
+    assert len(terms._interned) == before
+
+
+def test_tree_caches_are_bounded():
+    # a size-6 evaluation makes more distinct _graft keys than the cache holds
+    for name in TREE_CACHES:
+        getattr(diagrams, name).cache_clear()
+    for g in GAMMAS:
+        g, cache = word_to_diagram(parse_pb(g)), {}
+        for t in enumerate_terms(1, "*o", 6):
+            diagram_eval_term(t, g, cache)
+    for name in TREE_CACHES:
+        info = getattr(diagrams, name).cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    assert diagrams._graft.cache_info().misses > diagrams._graft.cache_info().maxsize
+
+
+def test_deep_terms_hash_compare_and_size():
+    def comb():
+        t = X
+        for _ in range(10_000):
+            t = Compound(STAR, X, t)
+        return t
+
+    a, b = comb(), comb()
+    assert hash(a) == hash(b)
+    assert a == b
+    assert a in {b}
+    assert size(a) == 10_001
