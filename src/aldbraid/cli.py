@@ -26,10 +26,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations
 
+from .braids import braid_key
 from .diagrams import (
-    diagram_equal,
     diagram_eval_term,
     diagram_reduce,
     word_eq_oracle,
@@ -106,34 +105,43 @@ def ald_partition(terms) -> dict:
     return classes
 
 
-def _diagram_key(d):
-    return (d.dom, d.cod, d.permutation, sum(1 if x > 0 else -1 for x in d.braid))
-
-
 def _equality_labels(diagrams) -> list[int]:
-    """One label per diagram; two labels agree exactly when `diagram_equal`
-    holds.  Each diagram is reduced once, which makes the cheap key a class
-    invariant, and is compared only with the first of each label in its bucket."""
-    reduced = [diagram_reduce(d) for d in diagrams]
-    firsts: dict = {}
+    """One label per diagram, the position of the first diagram equal to it:
+    two labels agree exactly when `diagram_equal` holds.  Each diagram is
+    reduced once, and reduced diagrams are equal iff their trees are and
+    their braids have the same key."""
+    first: dict = {}
     labels: list[int] = []
-    for idx, d in enumerate(reduced):
-        bucket = firsts.setdefault(_diagram_key(d), [])
-        label = next((f for f in bucket if diagram_equal(reduced[f], d)), idx)
-        if label == idx:
-            bucket.append(idx)
-        labels.append(label)
+    for idx, d in enumerate(diagrams):
+        r = diagram_reduce(d)
+        labels.append(first.setdefault((r.dom, r.cod, braid_key(r.braid, r.strands)), idx))
     return labels
+
+
+def _critical_pairs(specials) -> int:
+    """Ordered special-form pairs (u[s], v[t]) with u below v in rank, or the
+    same skeleton and s ⃗⊏ t: the pairs each sample word checks."""
+    by_rank: dict = {}
+    for _, r, seq in specials:
+        by_rank.setdefault(r, []).append(seq)
+    same_rank = sum(len(group) ** 2 for group in by_rank.values())
+    ordered = sum(seq_sq(s, t) for group in by_rank.values() for s in group for t in group)
+    return (len(specials) ** 2 - same_rank) // 2 + ordered
 
 
 def freeness_scan(config: ExperimentConfig) -> dict:
     """Partition terms into ALD-classes and test that evaluation into the
     diagram model is constant on classes and injective across them, plus the
-    critical special-form pairs that must evaluate apart."""
+    critical special-form pairs that must evaluate apart.
+
+    Collisions and critical failures need equal labels, so each word looks
+    for them only among the terms that share a label, and reports them in
+    the order of a double loop over all pairs."""
     terms = list(enumerate_terms(1, "*o", config.max_term_size))
     # the checks hold term positions, which index each word's label list
     position = {t: i for i, t in enumerate(terms)}
     classes = [[position[t] for t in members] for members in ald_partition(terms).values()]
+    reps = [members[0] for members in classes]
     report = {
         "max_term_size": config.max_term_size,
         "gammas": [render_pb(g) for g in config.gamma_samples],
@@ -154,6 +162,7 @@ def freeness_scan(config: ExperimentConfig) -> dict:
     skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
     rank = {u: r for r, u in enumerate(skeletons)}
     specials = [(i, rank[u], seq) for i, u, seq in specials]
+    report["critical_pairs_checked"] = _critical_pairs(specials) * len(config.gamma_samples)
     for gamma in config.gamma_samples:
         word = render_pb(gamma)
         gamma_d, cache = word_to_diagram(gamma), {}
@@ -162,15 +171,20 @@ def freeness_scan(config: ExperimentConfig) -> dict:
             for other in rest:
                 if label[other] != label[rep]:
                     report["constant_failures"].append(failure(word, term=other, representative=rep))
-        for left, right in combinations([members[0] for members in classes], 2):
-            if label[left] == label[right]:
+        reps_with: dict = {}  # label -> class representatives in order
+        for left in reps:
+            reps_with.setdefault(label[left], []).append(left)
+        for left in reps:
+            group = reps_with[label[left]]
+            for right in group[group.index(left) + 1 :]:
                 report["separation_collisions"].append(failure(word, left=left, right=right))
+        specials_with: dict = {}  # label -> special forms in order
+        for special in specials:
+            specials_with.setdefault(label[special[0]], []).append(special)
         for s, ru, sv in specials:
-            for t, rv, tv in specials:
+            for t, rv, tv in specials_with[label[s]]:
                 if ru < rv or (ru == rv and seq_sq(sv, tv)):
-                    report["critical_pairs_checked"] += 1
-                    if label[s] == label[t]:
-                        report["critical_failures"].append(failure(word, left=s, right=t))
+                    report["critical_failures"].append(failure(word, left=s, right=t))
     report["ok"] = not (
         report["constant_failures"]
         or report["separation_collisions"]

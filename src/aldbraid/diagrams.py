@@ -89,14 +89,15 @@ TREE_CACHE_SIZE = 1024
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def _graft(t: Term, subtrees: tuple[Term, ...]) -> Term:
     """Replace the k-th leaf of t by subtrees[k-1]."""
-    it = iter(subtrees)
+    return _graft_leaves(t, iter(subtrees))
 
-    def go(node: Term) -> Term:
-        if isinstance(node, Variable):
-            return next(it)
-        return Compound(CIRC, go(node.left), go(node.right))
 
-    return go(t)
+# The recursive walks below are module-level functions, not nested closures:
+# a closure that calls itself is a reference cycle, made on every cache miss.
+def _graft_leaves(node: Term, it) -> Term:
+    if isinstance(node, Variable):
+        return next(it)
+    return Compound(CIRC, _graft_leaves(node.left, it), _graft_leaves(node.right, it))
 
 
 def add_caret(t: Term, leaf: int) -> Term:
@@ -111,41 +112,41 @@ def add_caret(t: Term, leaf: int) -> Term:
 def sibling_leaf_pairs(t: Term) -> tuple[int, ...]:
     """Positions p such that leaves p and p+1 are the two children of a caret."""
     out: list[int] = []
-
-    def go(node: Term, k: int) -> int:
-        if isinstance(node, Variable):
-            return k + 1
-        if isinstance(node.left, Variable) and isinstance(node.right, Variable):
-            out.append(k)
-            return k + 2
-        k = go(node.left, k)
-        return go(node.right, k)
-
-    go(t, 1)
+    _sibling_pairs(t, 1, out)
     return tuple(out)
+
+
+def _sibling_pairs(node: Term, k: int, out: list[int]) -> int:
+    """Append the sibling pairs under node, whose first leaf is k; return
+    the position after its last leaf."""
+    if isinstance(node, Variable):
+        return k + 1
+    if isinstance(node.left, Variable) and isinstance(node.right, Variable):
+        out.append(k)
+        return k + 2
+    k = _sibling_pairs(node.left, k, out)
+    return _sibling_pairs(node.right, k, out)
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def collapse_caret(t: Term, leaf: int) -> Term:
     """Merge the caret over leaves (leaf, leaf+1) back into a single leaf."""
-
-    def go(node: Term, k: int) -> tuple[Term, int]:
-        if isinstance(node, Variable):
-            return node, k + 1
-        if (
-            isinstance(node.left, Variable)
-            and isinstance(node.right, Variable)
-            and k == leaf
-        ):
-            return X, k + 2
-        left, k = go(node.left, k)
-        right, k = go(node.right, k)
-        return Compound(CIRC, left, right), k
-
-    out, _ = go(t, 1)
+    out, _ = _collapse(t, 1, leaf)
     if size(out) != size(t) - 1:
         raise ValueError(f"no caret over leaves ({leaf}, {leaf + 1})")
     return out
+
+
+def _collapse(node: Term, k: int, leaf: int) -> tuple[Term, int]:
+    """node, whose first leaf is k, with the caret over (leaf, leaf+1)
+    merged; and the position after its last leaf."""
+    if isinstance(node, Variable):
+        return node, k + 1
+    if isinstance(node.left, Variable) and isinstance(node.right, Variable) and k == leaf:
+        return X, k + 2
+    left, k = _collapse(node.left, k, leaf)
+    right, k = _collapse(node.right, k, leaf)
+    return Compound(CIRC, left, right), k
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
@@ -163,16 +164,16 @@ def _leaf_subtrees(t: Term, refined: Term) -> tuple[Term, ...]:
     """The subtree of `refined` under each leaf of t, left to right; t must be
     refined by `refined` in the caret order."""
     out: list[Term] = []
-
-    def go(node: Term, goal: Term) -> None:
-        if isinstance(node, Variable):
-            out.append(goal)
-        else:
-            go(node.left, goal.left)
-            go(node.right, goal.right)
-
-    go(t, refined)
+    _subtrees_below(t, refined, out)
     return tuple(out)
+
+
+def _subtrees_below(node: Term, goal: Term, out: list[Term]) -> None:
+    if isinstance(node, Variable):
+        out.append(goal)
+    else:
+        _subtrees_below(node.left, goal.left, out)
+        _subtrees_below(node.right, goal.right, out)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +425,16 @@ def diagram_circ(b: PBDiagram, c: PBDiagram) -> PBDiagram:
 
 
 def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDiagram:
-    """Evaluate a one-variable term at the diagram g; memoizes subterms."""
+    """Evaluate a one-variable term at the diagram g; memoizes subterms.
+
+    b * c and b ∘ c both begin with the product b · sh(c), so the first of
+    the two to be evaluated leaves it in the cache under (b's term, c's
+    term) and the second pops it; each is then finished exactly as
+    `diagram_star` and `diagram_circ` would finish it."""
     if _cache is None:
         _cache = {}
-    key = t
-    if key in _cache:
-        return _cache[key]
+    if t in _cache:
+        return _cache[t]
     if isinstance(t, Variable):
         if t.index != 1:
             raise ValueError("term must be one-variable")
@@ -437,6 +442,15 @@ def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDi
     else:
         left = diagram_eval_term(t.left, g, _cache)
         right = diagram_eval_term(t.right, g, _cache)
-        result = diagram_star(left, right) if t.op == "*" else diagram_circ(left, right)
-    _cache[key] = result
+        pair = (t.left, t.right)
+        product = _cache.pop(pair, None)
+        if product is None:
+            product = _cache[pair] = diagram_multiply(left, diagram_shift(right))
+        if t.op == "*":
+            result = diagram_multiply(
+                diagram_multiply(product, gen_sigma(1)), diagram_inverse(diagram_shift(left))
+            )
+        else:
+            result = diagram_multiply(product, gen_a(1))
+    _cache[t] = result
     return result

@@ -19,7 +19,7 @@ which reduces the ALD word problem to the LD one.
 
 from __future__ import annotations
 
-from .braids import braid_compare, eval_star_braid, handle_reduce
+from .braids import braid_key, eval_star_braid
 from .ldoracle import DEFAULT_ORACLE, LdOracle, Verdict, seq_ld_equal
 from .terms import (
     ALD1,
@@ -140,38 +140,23 @@ def order_ald(s: Term, t: Term, oracle: LdOracle = DEFAULT_ORACLE) -> int:
 class LdClassIndex:
     """Interning of LD-classes of one-variable *-terms.
 
-    Classes are keyed by the braid evaluation at the trivial braid; the
-    handle-reduced representatives are kept sorted in the braid order so a
-    lookup costs O(log n) comparisons.  A term's class never changes once
-    found, so each distinct term is looked up once per index, in a dict
-    keyed on the interned term node (an O(1) hash and identity test).
+    A class is keyed by the Dynnikov coordinates (`braid_key`) of the term's
+    braid evaluation at the trivial braid, a complete invariant, so a lookup
+    is one dict probe; ids follow the order of first appearance.  A term's
+    class never changes once found, so each distinct term is keyed once per
+    index, in a dict keyed on the interned term node.
     """
 
     def __init__(self):
-        self._reps: list = []
+        self._classes: dict = {}
         self._ids: dict = {}
 
     def class_id(self, t: Term) -> int:
         found = self._ids.get(t)
         if found is None:
-            found = self._ids[t] = self._lookup(t)
+            key = braid_key(eval_star_braid(t, ()))
+            found = self._ids[t] = self._classes.setdefault(key, len(self._classes))
         return found
-
-    def _lookup(self, t: Term) -> int:
-        word = handle_reduce(eval_star_braid(t, ()))
-        lo, hi = 0, len(self._reps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = braid_compare(self._reps[mid][0], word)
-            if c == 0:
-                return self._reps[mid][1]
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        new_id = len(self._reps)
-        self._reps.insert(lo, (word, new_id))
-        return new_id
 
 
 def ald_class_key(t: Term, index: LdClassIndex) -> tuple:

@@ -346,16 +346,20 @@ def substitute(v: Term, ts: TermSeq) -> Term:
     if size(v) != len(ts):
         raise ValueError(f"need {size(v)} terms, got {len(ts)}")
 
-    def go(node: Term, k: int) -> tuple[Term, int]:
-        if isinstance(node, Variable):
-            return ts[k], k + 1
-        left, k = go(node.left, k)
-        right, k = go(node.right, k)
-        return Compound(CIRC, left, right), k
-
-    result, used = go(v, 0)
+    result, used = _substitute(v, ts, 0)
     assert used == len(ts)
     return result
+
+
+def _substitute(node: Term, ts: TermSeq, k: int) -> tuple[Term, int]:
+    """node with its leaves replaced by ts[k], ts[k+1], ...; and the next k.
+    A module-level function, as are the other recursive helpers: a nested
+    closure that calls itself is a reference cycle on every call."""
+    if isinstance(node, Variable):
+        return ts[k], k + 1
+    left, k = _substitute(node.left, ts, k)
+    right, k = _substitute(node.right, ts, k)
+    return Compound(CIRC, left, right), k
 
 
 class NotSpecial(Exception):
@@ -368,17 +372,18 @@ def decompose_special(t: Term) -> tuple[Term, TermSeq]:
     Raises NotSpecial if t has a ∘ below a *.
     """
     skeleton_parts: list[Term] = []
-
-    def go(node: Term) -> Term:
-        if isinstance(node, Compound) and node.op == CIRC:
-            return Compound(CIRC, go(node.left), go(node.right))
-        if not is_star_term(node):
-            raise NotSpecial(render_term(node))
-        skeleton_parts.append(node)
-        return X
-
-    skeleton = go(t)
+    skeleton = _split_special(t, skeleton_parts)
     return skeleton, tuple(skeleton_parts)
+
+
+def _split_special(node: Term, parts: list[Term]) -> Term:
+    """The ∘-skeleton of node; appends its *-components to parts."""
+    if isinstance(node, Compound) and node.op == CIRC:
+        return Compound(CIRC, _split_special(node.left, parts), _split_special(node.right, parts))
+    if not is_star_term(node):
+        raise NotSpecial(render_term(node))
+    parts.append(node)
+    return X
 
 
 # ---------------------------------------------------------------------------

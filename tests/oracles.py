@@ -8,24 +8,41 @@ at a time, which the one-pass `diagram_multiply` must reproduce letter for
 letter, and the structural terms below are plain frozen dataclasses that
 compare and hash by walking the whole term, where the package's terms are
 interned; `struct_eval_diagram` memoizes on them, and the differential test
-runs it without the node-keyed tree caches of `diagrams`.
+runs it without the node-keyed tree caches of `diagrams`.  `pairwise_freeness_scan`
+is the freeness scan with equality by pairwise `diagram_equal` inside
+buckets of a cheap diagram invariant, double loops over all class and
+special-form pairs, and the class partition keyed by `BraidClassIndex`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 
-from aldbraid.braids import braid_compare, free_reduce, handle_reduce
+from aldbraid.braids import braid_compare, eval_star_braid, free_reduce, handle_reduce
 from aldbraid.diagrams import (
     PBDiagram,
     add_caret,
     diagram_circ,
+    diagram_equal,
     diagram_reduce,
     diagram_star,
     tree_join,
+    word_to_diagram,
 )
-from aldbraid.terms import Compound, Variable
+from aldbraid.invariants import inv_I, inv_J
+from aldbraid.pbwords import render_pb
+from aldbraid.terms import (
+    Compound,
+    Variable,
+    circ_cmp,
+    decompose_special,
+    enumerate_terms,
+    is_special,
+    render_term,
+    seq_sq,
+)
 
 
 def braid_letters(max_index: int) -> list[int]:
@@ -253,3 +270,76 @@ def struct_eval_diagram(s, g, memo: dict):
             right = struct_eval_diagram(s.right, g, memo)
             memo[s] = (diagram_star if s.op == "*" else diagram_circ)(left, right)
     return memo[s]
+
+
+def _diagram_key(d):
+    """A cheap invariant of reduced diagrams: trees, permutation, exponent sum."""
+    return (d.dom, d.cod, d.permutation, sum(1 if x > 0 else -1 for x in d.braid))
+
+
+def bucket_equality_labels(diagrams) -> list[int]:
+    """Label each diagram by the position of the first one `diagram_equal`
+    to it, comparing only within buckets of `_diagram_key`."""
+    reduced = [diagram_reduce(d) for d in diagrams]
+    firsts: dict = {}
+    labels: list[int] = []
+    for idx, d in enumerate(reduced):
+        bucket = firsts.setdefault(_diagram_key(d), [])
+        label = next((f for f in bucket if diagram_equal(reduced[f], d)), idx)
+        if label == idx:
+            bucket.append(idx)
+        labels.append(label)
+    return labels
+
+
+def pairwise_freeness_scan(config, evaluate) -> dict:
+    """The report of `cli.freeness_scan(config)` with `evaluate` in place of
+    `diagram_eval_term`, every check a loop over all pairs."""
+    terms = list(enumerate_terms(1, "*o", config.max_term_size))
+    position = {t: i for i, t in enumerate(terms)}
+    index, partition = BraidClassIndex(), {}
+    for t in terms:
+        key = (inv_I(t), tuple(index.class_id(eval_star_braid(e, ())) for e in inv_J(t)))
+        partition.setdefault(key, []).append(position[t])
+    classes = list(partition.values())
+    report = {
+        "max_term_size": config.max_term_size,
+        "gammas": [render_pb(g) for g in config.gamma_samples],
+        "term_count": len(terms),
+        "class_count": len(classes),
+        "constant_failures": [],
+        "separation_collisions": [],
+        "critical_pairs_checked": 0,
+        "critical_failures": [],
+    }
+
+    def failure(word, **at):
+        return {"gamma": word, **{key: render_term(terms[i]) for key, i in at.items()}}
+
+    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if is_special(t)]
+    skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
+    rank = {u: r for r, u in enumerate(skeletons)}
+    specials = [(i, rank[u], seq) for i, u, seq in specials]
+    for gamma in config.gamma_samples:
+        word = render_pb(gamma)
+        gamma_d, cache = word_to_diagram(gamma), {}
+        label = bucket_equality_labels([evaluate(t, gamma_d, cache) for t in terms])
+        for rep, *rest in classes:
+            for other in rest:
+                if label[other] != label[rep]:
+                    report["constant_failures"].append(failure(word, term=other, representative=rep))
+        for left, right in itertools.combinations([members[0] for members in classes], 2):
+            if label[left] == label[right]:
+                report["separation_collisions"].append(failure(word, left=left, right=right))
+        for s, ru, sv in specials:
+            for t, rv, tv in specials:
+                if ru < rv or (ru == rv and seq_sq(sv, tv)):
+                    report["critical_pairs_checked"] += 1
+                    if label[s] == label[t]:
+                        report["critical_failures"].append(failure(word, left=s, right=t))
+    report["ok"] = not (
+        report["constant_failures"]
+        or report["separation_collisions"]
+        or report["critical_failures"]
+    )
+    return report

@@ -12,6 +12,7 @@ import time
 
 from aldbraid.braids import (
     braid_equal,
+    braid_key,
     exponent_sum,
     handle_reduce,
     permutation,
@@ -160,8 +161,11 @@ def test_criterion_05_braid_engine_cross_validation():
     # exact partition agreement on all words of length <= 6 over indices <= 3:
     # the closure's moves are sound, so it refines true equality; checking the
     # root -> class map is a bijection then forces the partitions to coincide.
+    # The same bijection check gates the Dynnikov key.
     root_to_class: dict = {}
     class_to_root: dict = {}
+    root_to_key: dict = {}
+    key_to_root: dict = {}
     words = 0
     for length in range(7):
         for w in itertools.product(braid_letters(3), repeat=length):
@@ -170,6 +174,10 @@ def test_criterion_05_braid_engine_cross_validation():
             cls = index.class_id(w)
             assert root_to_class.setdefault(root, cls) == cls, w
             assert class_to_root.setdefault(cls, root) == root, w
+            key = braid_key(w)
+            assert root_to_key.setdefault(root, key) == key, w
+            assert key_to_root.setdefault(key, root) == root, w
+    assert len(key_to_root) == len(class_to_root)
     closure_time = time.time() - started
 
     rng = random.Random(8675309)

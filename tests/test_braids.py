@@ -11,6 +11,7 @@ from aldbraid.braids import (
     LESS,
     braid_compare,
     braid_equal,
+    braid_key,
     braid_ld,
     braid_shift,
     eval_star_braid,
@@ -22,7 +23,7 @@ from aldbraid.braids import (
     permutation,
     render_braid,
 )
-from aldbraid.terms import enumerate_terms, parse_term
+from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
 
 B = parse_braid
 
@@ -185,3 +186,69 @@ def test_handle_reduce_defects_survive_optimize_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["HandleReductionDefect", "True", "False"]
+
+
+def test_braid_key_relations():
+    assert braid_key(()) == ()
+    for i in range(1, 5):
+        assert braid_key((i, -i)) == braid_key((-i, i)) == ()
+        assert braid_key((i, i + 1, i)) == braid_key((i + 1, i, i + 1))
+        assert braid_key((i, i + 2)) == braid_key((i + 2, i))
+        assert braid_key((-i, -(i + 1), i)) == braid_key((i + 1, -i, -(i + 1)))
+        assert len({braid_key(w) for w in [(), (i,), (-i,), (i, i), (i, i + 1), (i + 1, i)]}) == 6
+
+
+def test_braid_key_ignores_padding():
+    rng = random.Random(11)
+    for _ in range(500):
+        w = random_word(rng, rng.randint(0, 12))
+        n = max(map(abs, w), default=0) + 1
+        assert braid_key(w) == braid_key(w, n + 3)
+        for k in range(n, n + 3):
+            assert braid_key(w) == braid_key(w + (k, -k))
+
+
+def _equal_variant(rng, w):
+    """w with relators inserted and relations applied at random spots."""
+    v = list(w)
+    for _ in range(rng.randint(1, 3)):
+        p = rng.randint(0, len(v))
+        i, e = rng.randint(1, 3), rng.choice([1, -1])
+        relator = rng.choice(
+            [
+                [e * i, -e * i],
+                [i, i + 1, i, -(i + 1), -i, -(i + 1)],
+                [e * i, i + 2, -e * i, -(i + 2)],
+            ]
+        )
+        v[p:p] = relator
+    return tuple(v)
+
+
+def test_braid_key_agrees_with_braid_equal():
+    rng = random.Random(2008)
+    equal = 0
+    for _ in range(20_000):
+        u = random_word(rng, rng.randint(0, 10))
+        r = rng.random()
+        if r < 0.35:
+            v = _equal_variant(rng, u)
+        elif len(u) > 1 and r < 0.7:
+            p = rng.randrange(len(u) - 1)  # two letters swapped: equal iff they commute
+            v = u[:p] + (u[p + 1], u[p]) + u[p + 2 :]
+        else:
+            v = random_word(rng, rng.randint(0, 10))
+        same = braid_equal(u, v)
+        equal += same
+        assert (braid_key(u) == braid_key(v)) == same, (u, v)
+    assert 9_000 < equal < 11_000
+
+
+def test_braid_key_of_a_long_left_comb_word():
+    t = X
+    for _ in range(14):
+        t = Compound(STAR, t, X)
+    w = eval_star_braid(t, ())
+    assert len(w) == 16_383
+    assert braid_key(w) == braid_key(handle_reduce(w))
+    assert braid_key(w) != braid_key(w + (1,))

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from aldbraid.cli import ExperimentConfig, freeness_scan, main
-from aldbraid.diagrams import gen_sigma, identity_diagram
+from aldbraid.diagrams import diagram_eval_term, gen_sigma, identity_diagram
 from aldbraid.terms import MAX_DEPTH, enumerate_terms
+from oracles import pairwise_freeness_scan
 
 
 def run(capsys, *argv):
@@ -211,6 +213,32 @@ def test_freeness_scan_reports_an_injective_evaluation(monkeypatch):
     assert report["separation_collisions"] == []
     assert report["critical_failures"] == []
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+def test_freeness_scan_matches_pairwise_oracle(max_size):
+    config = ExperimentConfig(max_term_size=max_size)
+    assert freeness_scan(config) == pairwise_freeness_scan(config, diagram_eval_term)
+
+
+def test_failing_freeness_scans_match_pairwise_oracle(monkeypatch):
+    # the constant evaluation, and coarse ones that send each (term, word)
+    # to one of a few generators at random: failures of every kind
+    def constant(t, g, cache=None):
+        return identity_diagram()
+
+    def coarse(seed, values):
+        rng, memo = random.Random(seed), {}
+        return lambda t, g, cache=None: gen_sigma(memo.setdefault((t, g), rng.randrange(values)) + 1)
+
+    config = ExperimentConfig(max_term_size=5)
+    for evaluate in (constant, coarse(1, 2), coarse(2, 3), coarse(3, 5)):
+        monkeypatch.setattr("aldbraid.cli.diagram_eval_term", evaluate)
+        report = freeness_scan(config)
+        assert report == pairwise_freeness_scan(config, evaluate)
+        assert len(report["separation_collisions"]) > 1000
+        assert len(report["critical_failures"]) > 1000
+        assert evaluate is constant or report["constant_failures"]
 
 
 def test_freeness_scan_custom_gamma(capsys):

@@ -3,6 +3,7 @@ memory, and terms deeper than the recursion limit."""
 
 import gc
 import random
+import types
 
 from aldbraid import diagrams, terms
 from aldbraid.diagrams import diagram_eval_term, word_to_diagram
@@ -12,11 +13,14 @@ from aldbraid.terms import (
     STAR,
     Compound,
     X,
+    decompose_special,
     enumerate_terms,
     parse_term,
     random_term,
     render_term,
     size,
+    substitute,
+    x_power,
 )
 from oracles import (
     from_struct,
@@ -93,3 +97,34 @@ def test_deep_terms_hash_compare_and_size():
     assert a == b
     assert a in {b}
     assert size(a) == 10_001
+
+
+def test_recursive_helpers_leave_no_reference_cycles():
+    # a nested closure that calls itself is a cycle that only the cyclic
+    # collector frees; with it off, such closures pile up in gc.garbage
+    skeleton = x_power(4)
+    special = substitute(skeleton, (X, Compound(STAR, X, X), X, X))
+    for name in TREE_CACHES:
+        getattr(diagrams, name).cache_clear()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        substitute(skeleton, (X,) * 4)
+        decompose_special(special)
+        diagrams._graft(skeleton, (X, skeleton, X, X))
+        diagrams._leaf_subtrees(skeleton, special)
+        diagrams.sibling_leaf_pairs(special)
+        diagrams.collapse_caret(skeleton, 3)
+        gc.collect()
+        leaked = [
+            obj.__qualname__
+            for obj in gc.garbage[before:]
+            if isinstance(obj, types.FunctionType) and "<locals>" in obj.__qualname__
+        ]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        gc.enable()
+    assert leaked == []
