@@ -161,14 +161,14 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     return braid_compare(w1, w2) == EQUAL
 
 
-def braid_key(w: BraidWord, n: int | None = None) -> tuple[int, ...]:
+def braid_key(w: BraidWord) -> tuple[int, ...]:
     """Dynnikov coordinates: a canonical key with braid_key(u) == braid_key(v)
     iff braid_equal(u, v).
 
     B_n acts faithfully on Z^(2n) by piecewise-linear maps, σ_i touching the
     pairs (a_i, b_i), (a_{i+1}, b_{i+1}) only; the key is the image of
-    (0,1, ..., 0,1) with trailing (0,1) pairs dropped, so it does not depend
-    on the strand count n (at least the largest index plus one).  With
+    (0,1, ..., 0,1) for n = largest index plus one, with trailing (0,1)
+    pairs dropped, so a braid has the same key in every B_n it lies in.  With
     t⁺ = max(t, 0), t⁻ = min(t, 0), σ_i sends
         z = a_i - b_i⁻ - a_{i+1} + b_{i+1}⁺,
         (a_i + b_i⁺ + (b_{i+1}⁺ - z)⁺,  b_{i+1} - z⁺,
@@ -183,9 +183,7 @@ def braid_key(w: BraidWord, n: int | None = None) -> tuple[int, ...]:
     faster.  Coordinates grow with the word, so order stays with handle
     reduction.
     """
-    if n is None:
-        n = max(map(abs, w), default=0) + 1
-    c = [0, 1] * n
+    c = [0, 1] * (max(map(abs, w), default=0) + 1)
     for x in w:
         if x > 0:
             j = 2 * x - 2

@@ -114,7 +114,7 @@ def _equality_labels(diagrams) -> list[int]:
     labels: list[int] = []
     for idx, d in enumerate(diagrams):
         r = diagram_reduce(d)
-        labels.append(first.setdefault((r.dom, r.cod, braid_key(r.braid, r.strands)), idx))
+        labels.append(first.setdefault((r.dom, r.cod, braid_key(r.braid)), idx))
     return labels
 
 

@@ -412,25 +412,13 @@ def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
 # Structural evaluation of terms in the model
 
 
-def diagram_star(b: PBDiagram, c: PBDiagram) -> PBDiagram:
-    sb = diagram_shift(b)
-    return diagram_multiply(
-        diagram_multiply(diagram_multiply(b, diagram_shift(c)), gen_sigma(1)),
-        diagram_inverse(sb),
-    )
-
-
-def diagram_circ(b: PBDiagram, c: PBDiagram) -> PBDiagram:
-    return diagram_multiply(diagram_multiply(b, diagram_shift(c)), gen_a(1))
-
-
 def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDiagram:
     """Evaluate a one-variable term at the diagram g; memoizes subterms.
 
-    b * c and b ∘ c both begin with the product b · sh(c), so the first of
-    the two to be evaluated leaves it in the cache under (b's term, c's
-    term) and the second pops it; each is then finished exactly as
-    `diagram_star` and `diagram_circ` would finish it."""
+    b * c = ((b · sh(c)) · σ1) · sh(b)⁻¹ and b ∘ c = (b · sh(c)) · a1 both
+    begin with the product b · sh(c), so the first of the two to be
+    evaluated leaves it in the cache under (b's term, c's term) and the
+    second pops it."""
     if _cache is None:
         _cache = {}
     if t in _cache:

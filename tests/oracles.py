@@ -8,10 +8,13 @@ at a time, which the one-pass `diagram_multiply` must reproduce letter for
 letter, and the structural terms below are plain frozen dataclasses that
 compare and hash by walking the whole term, where the package's terms are
 interned; `struct_eval_diagram` memoizes on them, and the differential test
-runs it without the node-keyed tree caches of `diagrams`.  `pairwise_freeness_scan`
-is the freeness scan with equality by pairwise `diagram_equal` inside
-buckets of a cheap diagram invariant, double loops over all class and
-special-form pairs, and the class partition keyed by `BraidClassIndex`.
+runs it without the node-keyed tree caches of `diagrams`, through
+`diagram_star` and `diagram_circ`, which compute b · sh(c) once per
+operation where `diagram_eval_term` shares it between b * c and b ∘ c.
+`pairwise_freeness_scan` is the freeness scan with equality by pairwise
+`diagram_equal` inside buckets of a cheap diagram invariant, double loops
+over all class and special-form pairs, and the class partition keyed by
+`BraidClassIndex`.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from aldbraid.braids import braid_compare, eval_star_braid, free_reduce, handle_
 from aldbraid.diagrams import (
     PBDiagram,
     add_caret,
-    diagram_circ,
     diagram_equal,
+    diagram_inverse,
+    diagram_multiply,
     diagram_reduce,
-    diagram_star,
+    diagram_shift,
+    gen_a,
+    gen_sigma,
     tree_join,
     word_to_diagram,
 )
@@ -257,6 +263,19 @@ def struct_inv_J(s) -> tuple:
             out.append(entry)
         return tuple(out)
     return struct_inv_J(s.left) + struct_inv_J(s.right)
+
+
+def diagram_star(b, c):
+    """b * c = ((b · sh(c)) · σ1) · sh(b)⁻¹, each product computed afresh."""
+    return diagram_multiply(
+        diagram_multiply(diagram_multiply(b, diagram_shift(c)), gen_sigma(1)),
+        diagram_inverse(diagram_shift(b)),
+    )
+
+
+def diagram_circ(b, c):
+    """b ∘ c = (b · sh(c)) · a1, each product computed afresh."""
+    return diagram_multiply(diagram_multiply(b, diagram_shift(c)), gen_a(1))
 
 
 def struct_eval_diagram(s, g, memo: dict):

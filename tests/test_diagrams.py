@@ -120,7 +120,7 @@ def test_multiply_matches_caret_by_caret_refinement():
 
 
 def test_multiply_matches_caret_by_caret_refinement_in_term_evaluation(monkeypatch):
-    # the operands of every diagram_star/diagram_circ product at size <= 5
+    # the operands of every product in the evaluation of the terms of size <= 5
     multiply, operands = diagrams.diagram_multiply, []
     gammas = [word_to_diagram(W(g)) for g in ("", "s1", "a1", "s1 a2")]
     monkeypatch.setattr(
