@@ -52,14 +52,14 @@ def render_braid(w: BraidWord) -> str:
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return tuple(-x for x in reversed(w))
+    return tuple([-x for x in reversed(w)])
 
 
 def braid_shift(w: BraidWord, k: int = 1) -> BraidWord:
     """Map σ_i to σ_{i+k}, preserving signs."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    return tuple(x + k if x > 0 else x - k for x in w)
+    return tuple([x + k if x > 0 else x - k for x in w])
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

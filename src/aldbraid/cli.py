@@ -47,9 +47,12 @@ from .invariants import (
 from .ldoracle import LdOracle, Verdict, decide_ld_1var, decide_ld_bounded
 from .pbwords import (
     audit_derived_identities,
+    check_word_length,
     parse_pb,
+    pb_closed_length,
     pb_eval_closed,
     pb_eval_term,
+    pb_term_length,
     relation_instances,
     render_pb,
 )
@@ -308,11 +311,17 @@ def cmd_normalize(args) -> int:
 def cmd_eval(args) -> int:
     t = parse_term(args.term)
     gamma = parse_pb(args.gamma)
+    # every mode refuses, before building anything, a term whose word would
+    # be too long; the diagram mode evaluates the recursive word's element,
+    # and its braid grows with that word
     if args.mode == "closed-form":
         v, ts = decompose_special(specialize(t))
+        check_word_length(pb_closed_length(v, ts, len(gamma)))
         word = pb_eval_closed(v, ts, gamma)
         _emit(args, {"word": render_pb(word)}, [render_pb(word)])
-    elif args.mode == "diagram":
+        return EX_EQUAL
+    check_word_length(pb_term_length(t, len(gamma)))
+    if args.mode == "diagram":
         d = diagram_reduce(diagram_eval_term(t, word_to_diagram(gamma)))
         _emit(args, d.to_json(), [json.dumps(d.to_json())])
     else:

@@ -41,10 +41,23 @@ PBWord = tuple  # tuple[PBLetter, ...]
 SIGMA1: PBWord = (("s", 1),)
 A1: PBWord = (("a", 1),)
 
+#: Longest word the word model takes in or evaluates to: `parse_pb` rejects a
+#: longer word, and the `eval` command a term whose word would be longer.  A
+#: left comb of n leaves evaluates at a one-letter word to 3·2^(n-1) - 2
+#: letters, so 20 leaves exceed it (1,572,862 letters, about 270 MiB).
+MAX_WORD_LETTERS = 1_000_000
+
+
+def check_word_length(letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"a word of {letters} letters exceeds the cap of {MAX_WORD_LETTERS}")
+
 
 def parse_pb(text: str) -> PBWord:
+    tokens = text.split()
+    check_word_length(len(tokens))
     letters = []
-    for tok in text.split():
+    for tok in tokens:
         if len(tok) < 2 or tok[0] not in "sSaA" or not tok[1:].isdigit() or int(tok[1:]) < 1:
             raise ValueError(f"bad letter {tok!r}")
         i = int(tok[1:])
@@ -60,14 +73,14 @@ def render_pb(w: PBWord) -> str:
 
 
 def pb_inverse(w: PBWord) -> PBWord:
-    return tuple((fam, -i) for fam, i in reversed(w))
+    return tuple([(fam, -i) for fam, i in reversed(w)])
 
 
 def pb_shift(w: PBWord, k: int = 1) -> PBWord:
     """∂^k on words: every index up by k, signs preserved."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    return tuple((fam, i + k if i > 0 else i - k) for fam, i in w)
+    return tuple([(fam, i + k if i > 0 else i - k) for fam, i in w])
 
 
 def pb_free_reduce(w: PBWord) -> PBWord:
@@ -99,6 +112,16 @@ def pb_eval_term(t: Term, g: PBWord) -> PBWord:
     return pb_star(left, right) if t.op == "*" else pb_circ(left, right)
 
 
+def pb_term_length(t: Term, gamma_len: int) -> int:
+    """The length of pb_eval_term(t, g) for a word g of gamma_len letters,
+    computed from the term without building the word."""
+    if isinstance(t, Variable):
+        return gamma_len
+    b = pb_term_length(t.left, gamma_len)
+    c = pb_term_length(t.right, gamma_len)
+    return 2 * b + c + 1 if t.op == "*" else b + c + 1
+
+
 def v_of_1(v: Term) -> PBWord:
     """Evaluation of a one-variable ∘-term at the identity: a pure a-word."""
     if isinstance(v, Variable):
@@ -117,6 +140,12 @@ def pb_eval_closed(v: Term, ts: Sequence[Term], g: PBWord) -> PBWord:
     for k, tk in enumerate(ts):
         word += pb_shift(pb_eval_term(tk, g), k)
     return word + v_of_1(v)
+
+
+def pb_closed_length(v: Term, ts: Sequence[Term], gamma_len: int) -> int:
+    """The length of pb_eval_closed(v, ts, g) for a word g of gamma_len
+    letters: shifting keeps lengths, and v(1) has one letter per caret."""
+    return sum(pb_term_length(tk, gamma_len) for tk in ts) + size(v) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ interned; `struct_eval_diagram` memoizes on them, and the differential test
 runs it without the node-keyed tree caches of `diagrams`, through
 `diagram_star` and `diagram_circ`, which compute b · sh(c) once per
 operation where `diagram_eval_term` shares it between b * c and b ∘ c.
+`word_to_diagram_by_letters` multiplies by one generator diagram per letter
+with no step cache, which `word_to_diagram` must reproduce exactly.
 `pairwise_freeness_scan` is the freeness scan with equality by pairwise
 `diagram_equal` inside buckets of a cheap diagram invariant, double loops
 over all class and special-form pairs, and the class partition keyed by
@@ -34,6 +36,7 @@ from aldbraid.diagrams import (
     diagram_shift,
     gen_a,
     gen_sigma,
+    identity_diagram,
     tree_join,
     word_to_diagram,
 )
@@ -206,6 +209,15 @@ def multiply_by_splitting(d1, d2):
     while d2.dom != middle:
         d2 = _split_one_strand(d2, _first_missing_leaf(d2.dom, middle))
     return diagram_reduce(PBDiagram(d1.dom, free_reduce(d1.braid + d2.braid), d2.cod))
+
+
+def word_to_diagram_by_letters(w):
+    """The diagram of a word, one uncached multiplication per letter."""
+    d = identity_diagram()
+    for fam, signed in w:
+        gen = gen_sigma(abs(signed)) if fam == "s" else gen_a(abs(signed))
+        d = diagram_multiply(d, gen if signed > 0 else diagram_inverse(gen))
+    return d
 
 
 @dataclass(frozen=True)

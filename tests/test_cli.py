@@ -1,10 +1,12 @@
 import json
 import random
+import time
 
 import pytest
 
 from aldbraid.cli import ExperimentConfig, freeness_scan, main
 from aldbraid.diagrams import diagram_eval_term, gen_sigma, identity_diagram
+from aldbraid.pbwords import MAX_WORD_LETTERS
 from aldbraid.terms import MAX_DEPTH, enumerate_terms
 from oracles import pairwise_freeness_scan
 
@@ -107,6 +109,21 @@ def test_large_letter_index_exit_64(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert err.startswith("error:") and "1002 leaves" in err
+
+
+def test_word_length_cap_exit_64(capsys):
+    # a 60-leaf left comb evaluates at s1 to 3·2^59 - 2 letters: every mode
+    # refuses it before building anything
+    comb = "x"
+    for _ in range(59):
+        comb = f"({comb}*x)"
+    for mode in ([], ["--closed-form"], ["--diagram"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", *mode, comb, "s1")
+        assert code == 64 and "exceeds the cap" in err, mode
+        assert time.perf_counter() - start < 1, mode
+    code, _, err = run(capsys, "eval", "x", " ".join(["s1"] * (MAX_WORD_LETTERS + 1)))
+    assert code == 64 and f"{MAX_WORD_LETTERS + 1} letters exceeds the cap" in err
 
 
 def test_decide_ld(capsys):

@@ -22,7 +22,7 @@ from aldbraid.diagrams import (
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, relation_instances
 from aldbraid.terms import enumerate_terms, parse_term, x_power
-from oracles import multiply_by_splitting
+from oracles import multiply_by_splitting, word_to_diagram_by_letters
 
 W = parse_pb
 
@@ -159,6 +159,49 @@ def test_word_to_diagram_homomorphic():
             word_to_diagram(u + v),
             diagram_multiply(word_to_diagram(u), word_to_diagram(v)),
         )
+
+
+def test_word_to_diagram_matches_letter_by_letter_oracle():
+    # words from 50 shared stems with random tails: they share prefixes, as
+    # the words of one formula check do, and make more distinct steps than
+    # the step cache holds, so it evicts as it goes
+    diagrams._times_letter.cache_clear()
+    rng = random.Random(101)
+    letters = [(fam, sign * i) for fam in "sa" for i in range(1, 5) for sign in (1, -1)]
+    stems = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(50)]
+    for _ in range(2_000):
+        w = rng.choice(stems) + tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+        d, ref = word_to_diagram(w), word_to_diagram_by_letters(w)
+        assert (d.dom, d.braid, d.cod, d.permutation) == (
+            ref.dom,
+            ref.braid,
+            ref.cod,
+            ref.permutation,
+        ), w
+    info = diagrams._times_letter.cache_info()
+    assert info.currsize == info.maxsize < info.misses
+
+
+def test_word_to_diagram_computes_each_step_once(monkeypatch):
+    multiply, calls = diagrams.diagram_multiply, []
+    monkeypatch.setattr(
+        diagrams, "diagram_multiply", lambda d1, d2: calls.append(1) or multiply(d1, d2)
+    )
+    diagrams._times_letter.cache_clear()
+    w = W("s1 a2 A1 s3 S2 a1")
+    first = word_to_diagram(w)
+    assert len(calls) == len(w)
+    calls.clear()
+    assert word_to_diagram(w) == first and not calls
+    word_to_diagram(w + W("s2"))
+    assert len(calls) == 1
+
+
+def test_word_to_diagram_long_word():
+    # the steps run in a loop, and the cache stays bounded
+    assert word_to_diagram(W("s1 a1 A1 S1") * 5_000) == identity_diagram()
+    info = diagrams._times_letter.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_diagram_shift():

@@ -13,6 +13,7 @@ from aldbraid.pbwords import (
     parse_pb,
     pb_act_term,
     pb_circ,
+    pb_closed_length,
     pb_eval_closed,
     pb_eval_term,
     pb_free_reduce,
@@ -20,11 +21,13 @@ from aldbraid.pbwords import (
     pb_relation_neighbors,
     pb_shift,
     pb_star,
+    pb_term_length,
     relation_instances,
     render_pb,
     v_of_1,
 )
-from aldbraid.terms import enumerate_terms, ht_r, parse_term, size, x_power
+from aldbraid.invariants import specialize
+from aldbraid.terms import decompose_special, enumerate_terms, ht_r, parse_term, size, x_power
 
 W = parse_pb
 T = parse_term
@@ -82,6 +85,14 @@ def test_pb_eval_closed_matches_recursive_letterwise_when_skeletal():
     for v in enumerate_terms(1, "o", 4):
         ts = (T("x"),) * size(v)
         assert pb_eval_closed(v, ts, ()) == v_of_1(v)
+
+
+def test_word_lengths_from_the_term():
+    for t in enumerate_terms(1, "*o", 5):
+        v, ts = decompose_special(specialize(t))
+        for g in ((), W("s1"), W("s1 a2 A1")):
+            assert pb_term_length(t, len(g)) == len(pb_eval_term(t, g))
+            assert pb_closed_length(v, ts, len(g)) == len(pb_eval_closed(v, ts, g))
 
 
 def test_blocks_fold():
