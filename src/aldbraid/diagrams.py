@@ -415,17 +415,20 @@ def word_to_diagram(w: PBWord) -> PBDiagram:
 
 def diagram_equal(d1: PBDiagram, d2: PBDiagram) -> bool:
     """Reduce both; compare trees structurally and braids by handle reduction."""
-    r1, r2 = diagram_reduce(d1), diagram_reduce(d2)
-    return (
-        r1.dom == r2.dom
-        and r1.cod == r2.cod
-        and braid_equal(r1.braid, r2.braid)
-    )
+    return _reduced_equal(diagram_reduce(d1), diagram_reduce(d2))
+
+
+def _reduced_equal(r1: PBDiagram, r2: PBDiagram) -> bool:
+    return r1.dom == r2.dom and r1.cod == r2.cod and braid_equal(r1.braid, r2.braid)
 
 
 def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
-    """Equality of parenthesized-braid words through the diagram model."""
-    return diagram_equal(word_to_diagram(w1), word_to_diagram(w2))
+    """Equality of parenthesized-braid words through the diagram model.
+
+    `word_to_diagram` returns reduced diagrams (the identity, or the output
+    of `diagram_multiply`, which ends in `diagram_reduce`), so they compare
+    without a second reduction."""
+    return _reduced_equal(word_to_diagram(w1), word_to_diagram(w2))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,18 @@ closure of any braid under * is a free LD-system of rank one), and the
 s ⊏ t forcing s < t.
 
 For terms with several variables only a bounded semi-decision is available
-here: a breadth-first closure under single LD steps, capped in term size and
-in expansion count, plus two cheap definite-NO filters (LD steps preserve the
-set of variables occurring and the rightmost variable, though not variable
-multiplicities).
+here.  NOT_EQUAL comes from three sound tests: LD steps preserve the set of
+variables occurring and the rightmost variable (though not variable
+multiplicities), and the assignment x_i ↦ x extends to an LD-homomorphism,
+so terms whose one-variable projections the total decision tells apart are
+LD-inequivalent (Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL
+comes only from a breadth-first closure under single LD steps, capped in
+term size and in expansion count; a pair that passes the three tests and
+whose closure misses the other term within the caps is UNKNOWN.
+
+No braid word longer than `pbwords.MAX_WORD_LETTERS` is built (a left comb
+of n leaves evaluates to 2^(n-1) - 1 letters): the one-variable decision
+refuses such a term with a ValueError, and the projection test is skipped.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .braids import LESS, braid_compare, eval_star_braid
+from .braids import LESS, BraidWord, braid_compare, braid_key, eval_star_braid
+from .pbwords import MAX_WORD_LETTERS, check_word_length, pb_term_length
 from .terms import (
     LD,
     STAR,
@@ -31,6 +40,7 @@ from .terms import (
     is_one_variable,
     is_star_term,
     law_instances,
+    project,
     rightmost_variable,
     size,
     variables,
@@ -67,7 +77,33 @@ def decide_ld_1var(s: Term, t: Term) -> int:
             raise ValueError("expected a one-variable term")
     if s == t:
         return 0
-    return braid_compare(eval_star_braid(s, ()), eval_star_braid(t, ()))
+    return braid_compare(_star_braid(s), _star_braid(t))
+
+
+def _fits(t: Term) -> bool:
+    """Whether eval_star_braid(t, ()) has at most MAX_WORD_LETTERS letters.
+
+    n leaves evaluate to at most 2^(n-1) - 1 letters (the left comb), so only
+    larger terms need their exact length, len(b * c) = 2·len(b) + len(c) + 1.
+    """
+    return size(t) <= MAX_WORD_LETTERS.bit_length() or pb_term_length(t, 0) <= MAX_WORD_LETTERS
+
+
+def _star_braid(t: Term) -> BraidWord:
+    """eval_star_braid(t, ()), or ValueError when its word would exceed the cap."""
+    if not _fits(t):
+        check_word_length(pb_term_length(t, 0))
+    return eval_star_braid(t, ())
+
+
+def _projections_differ(s: Term, t: Term) -> bool:
+    """Whether the x_i ↦ x projections of s and t are LD-inequivalent, which
+    makes s and t LD-inequivalent; False when they are LD-equivalent or when
+    a projection's braid word would exceed the cap."""
+    ps, pt = project(s), project(t)
+    if ps == pt or not (_fits(ps) and _fits(pt)):
+        return False
+    return braid_key(eval_star_braid(ps, ())) != braid_key(eval_star_braid(pt, ()))
 
 
 def default_size_cap(s: Term, t: Term) -> int:
@@ -105,8 +141,9 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
     """Bounded semi-decision of s =_LD t for arbitrary *-terms.
 
     EQUAL only when a rewriting path within the caps connects the terms;
-    NOT_EQUAL only from invariant filters (variable set, rightmost variable);
-    otherwise UNKNOWN.
+    NOT_EQUAL when the variable sets or the rightmost variables differ, or
+    when the x_i ↦ x projections are LD-inequivalent (a test skipped when a
+    projection's braid word would exceed the cap); otherwise UNKNOWN.
     """
     _require_star(s)
     _require_star(t)
@@ -118,6 +155,8 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
         size_cap = default_size_cap(s, t)
     elif size_cap < size(t):
         raise ValueError("size_cap must be at least the size of both terms")
+    if _projections_differ(s, t):
+        return Verdict.NOT_EQUAL
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL
     return Verdict.UNKNOWN

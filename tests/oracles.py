@@ -16,7 +16,10 @@ with no step cache, which `word_to_diagram` must reproduce exactly.
 `pairwise_freeness_scan` is the freeness scan with equality by pairwise
 `diagram_equal` inside buckets of a cheap diagram invariant, double loops
 over all class and special-form pairs, and the class partition keyed by
-`BraidClassIndex`.
+`BraidClassIndex`.  `closure_only_decide_ld` is the bounded LD decision
+without the projection test: NOT_EQUAL only from the variable-set and
+rightmost-variable filters, EQUAL only from `ld_closure`, which it shares
+with the decision under test.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from aldbraid.diagrams import (
     word_to_diagram,
 )
 from aldbraid.invariants import inv_I, inv_J
+from aldbraid.ldoracle import DEFAULT_STEP_CAP, Verdict, default_size_cap, ld_closure
 from aldbraid.pbwords import render_pb
 from aldbraid.terms import (
     Compound,
@@ -50,7 +54,9 @@ from aldbraid.terms import (
     enumerate_terms,
     is_special,
     render_term,
+    rightmost_variable,
     seq_sq,
+    variables,
 )
 
 
@@ -374,3 +380,16 @@ def pairwise_freeness_scan(config, evaluate) -> dict:
         or report["critical_failures"]
     )
     return report
+
+
+def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Verdict:
+    """`decide_ld_bounded` as it was before the projection test."""
+    if s == t:
+        return Verdict.EQUAL
+    if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
+        return Verdict.NOT_EQUAL
+    if size_cap is None:
+        size_cap = default_size_cap(s, t)
+    if t in ld_closure(s, size_cap, step_cap, target=t):
+        return Verdict.EQUAL
+    return Verdict.UNKNOWN

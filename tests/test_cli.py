@@ -44,12 +44,42 @@ def test_decide_ald_json(capsys):
 
 
 def test_decide_ald_unknown_exit(capsys):
-    # same skeleton, multi-variable entries the tiny budget cannot separate
+    # the projections x*x and x separate this pair at any budget
     code, out, _ = run(
         capsys, "decide-ald", "--budget", "4,10", "(x1*x2)*(x1*x2)", "x1*x2"
     )
-    assert code == 2
-    assert out.splitlines()[0] == "unknown"
+    assert code == 1
+    assert out.splitlines()[0] == "not-equal"
+    # LD-equal two steps apart: the projections agree, one closure step falls short
+    pair = ("x1*x2*x1*x2", "(x1*x2*x1)*x1*x2*x2")
+    for command in ("decide-ald", "decide-ld"):
+        code, out, _ = run(capsys, command, "--budget", "6,1", *pair)
+        assert code == 2 and out.splitlines()[0] == "unknown", command
+        code, out, _ = run(capsys, command, *pair)
+        assert code == 0 and out.splitlines()[0] == "equal", command
+
+
+def test_multi_variable_right_combs_not_equal(capsys):
+    # the closure spent its whole budget on this pair before the projection test
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decide-ld", "x1*" * 20 + "x2", "x1*" * 19 + "x2")
+    assert code == 1 and out.strip() == "not-equal"
+    assert time.perf_counter() - start < 1
+
+
+def test_long_left_comb_decisions_exit_64(capsys):
+    # the 30-leaf left comb evaluates to 2^29 - 1 letters: refused before evaluating
+    combs = []
+    for n in (30, 29):
+        comb = "x"
+        for _ in range(n - 1):
+            comb = f"({comb}*x)"
+        combs.append(comb)
+    for command in ("decide-ld", "decide-ald", "order-ald"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, *combs)
+        assert code == 64 and err.startswith("error:") and "exceeds the cap" in err, command
+        assert time.perf_counter() - start < 1, command
 
 
 def test_parse_error_exit(capsys):

@@ -20,7 +20,7 @@ from aldbraid.diagrams import (
     word_eq_oracle,
     word_to_diagram,
 )
-from aldbraid.pbwords import parse_pb, pb_eval_term, relation_instances
+from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
 from aldbraid.terms import enumerate_terms, parse_term, x_power
 from oracles import multiply_by_splitting, word_to_diagram_by_letters
 
@@ -159,6 +159,19 @@ def test_word_to_diagram_homomorphic():
             word_to_diagram(u + v),
             diagram_multiply(word_to_diagram(u), word_to_diagram(v)),
         )
+
+
+def test_word_to_diagram_returns_reduced_diagrams():
+    # word_eq_oracle compares these outputs without reducing them again
+    rng = random.Random(73)
+    letters = list(W("s1 S1 s2 S2 s3 S3 a1 A1 a2 A2 a3 A3"))
+    words = [()] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    for w in words:
+        d = word_to_diagram(w)
+        assert diagram_reduce(d) == d, w
+    for u, v in zip(words, words[1:] + words[:1]):
+        assert word_eq_oracle(u, v) == diagram_equal(word_to_diagram(u), word_to_diagram(v))
+        assert word_eq_oracle(u, u + v + pb_inverse(v)), (u, v)
 
 
 def test_word_to_diagram_matches_letter_by_letter_oracle():

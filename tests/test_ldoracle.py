@@ -15,6 +15,8 @@ from aldbraid.ldoracle import (
 )
 from aldbraid.terms import (
     LD,
+    STAR,
+    Compound,
     apply_law,
     enumerate_terms,
     is_iter_left_subterm,
@@ -23,10 +25,33 @@ from aldbraid.terms import (
     random_term,
     rightmost_variable,
     seq_star,
+    size,
+    star_chain,
     variables,
 )
+from oracles import closure_only_decide_ld
 
 T = parse_term
+
+#: An LD-equal pair two steps apart: expand x2*(x1*x2), then the root.
+TWO_STEPS = (T("x1*(x2*(x1*x2))"), T("(x1*(x2*x1))*(x1*(x2*x2))"))
+
+
+def left_comb(n):
+    t = T("x")
+    for _ in range(n - 1):
+        t = Compound(STAR, t, T("x"))
+    return t
+
+
+def ld_walk(rng, t, steps, max_size):
+    """t after `steps` random LD steps in either direction, each within max_size."""
+    for _ in range(steps):
+        nexts = [apply_law(t, i) for i in law_instances(t, laws=(LD,))]
+        nexts = [n for n in nexts if size(n) <= max_size]
+        if nexts:
+            t = rng.choice(nexts)
+    return t
 
 
 def test_decide_ld_1var_examples():
@@ -48,9 +73,24 @@ def test_decide_ld_bounded_examples():
         decide_ld_bounded(T("x*(x*x)"), T("((x*x)*x)*((x*x)*x)")) is Verdict.EQUAL
     )
     assert decide_ld_bounded(T("x1"), T("x2")) is Verdict.NOT_EQUAL
-    # same variable set and rightmost variable, no connecting path at any cap
-    # small enough to exhaust: verdict stays UNKNOWN
-    assert decide_ld_bounded(T("x1*x1"), T("x1"), size_cap=4) is Verdict.UNKNOWN
+    # same variable set and rightmost variable, no connecting path at any cap:
+    # the projections x*x and x tell the pair apart before any closure
+    assert decide_ld_bounded(T("x1*x1"), T("x1"), size_cap=4) is Verdict.NOT_EQUAL
+    # LD-equal two steps apart: the projections agree, and one closure step
+    # cannot reach the other term
+    assert decide_ld_bounded(*TWO_STEPS, size_cap=6, step_cap=1) is Verdict.UNKNOWN
+    assert decide_ld_bounded(*TWO_STEPS) is Verdict.EQUAL
+
+
+def test_projection_test_skipped_past_the_word_cap():
+    # 30- and 29-leaf left combs ending in x2: the projections' braid words
+    # would have 2^29 - 1 and 2^28 - 1 letters, so only the closure runs
+    s, t = (star_chain([left_comb(n - 1)], T("x2")) for n in (30, 29))
+    assert decide_ld_bounded(s, t, step_cap=5) is Verdict.UNKNOWN
+    # from 21 leaves, at 2^20 - 1 letters, the one-variable decision refuses
+    for n in (21, 30):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            decide_ld_1var(left_comb(n), T("x"))
 
 
 def test_ld_step_invariants_back_the_filters():
@@ -67,6 +107,37 @@ def test_ld_step_invariants_back_the_filters():
         assert variables(t2) == variables(t)
         assert rightmost_variable(t2) == rightmost_variable(t)
         checked += 1
+
+
+def test_ld_walks_are_never_not_equal():
+    # soundness of every NOT_EQUAL path: terms joined by LD steps are LD-equal
+    rng = random.Random(59)
+    for _ in range(300):
+        s = random_term(rng, rng.randint(2, 8), n_vars=rng.randint(1, 4), ops="*")
+        t = ld_walk(rng, s, rng.randint(1, 6), max_size=14)
+        assert decide_ld_bounded(s, t, step_cap=20) is not Verdict.NOT_EQUAL
+
+
+def test_projection_agrees_with_closure_only_oracle():
+    # seeded multi-variable pairs, alternately random and joined by a walk;
+    # the projection test only turns closure-only UNKNOWNs into NOT_EQUAL
+    rng = random.Random(61)
+    newly_decided = 0
+    for k in range(400):
+        n_vars = rng.randint(2, 3)
+        s = random_term(rng, rng.randint(2, 6), n_vars=n_vars, ops="*")
+        if k % 2:
+            t = ld_walk(rng, s, rng.randint(1, 3), max_size=9)
+        else:
+            t = random_term(rng, rng.randint(2, 6), n_vars=n_vars, ops="*")
+        old = closure_only_decide_ld(s, t, step_cap=50)
+        new = decide_ld_bounded(s, t, step_cap=50)
+        if old is not Verdict.UNKNOWN:
+            assert new is old, (s, t)
+        elif new is not Verdict.UNKNOWN:
+            assert new is Verdict.NOT_EQUAL, (s, t)
+            newly_decided += 1
+    assert newly_decided > 0
 
 
 def test_agreement_1var_vs_bounded_size_4():
@@ -93,8 +164,9 @@ def test_seq_ld_equal():
     assert seq_ld_equal((x, x), (x, x, x)) is Verdict.NOT_EQUAL
     assert seq_ld_equal((T("x*(x*x)"),), (T("(x*x)*(x*x)"),)) is Verdict.EQUAL
     # an exhausted budget is UNKNOWN, unless another entry pair differs
-    tiny = LdOracle(size_cap=4, step_cap=10)
-    undecided = (T("(x1*x2)*(x1*x2)"),), (T("x1*x2"),)
+    tiny = LdOracle(size_cap=6, step_cap=1)
+    assert seq_ld_equal((T("(x1*x2)*(x1*x2)"),), (T("x1*x2"),), tiny) is Verdict.NOT_EQUAL
+    undecided = (TWO_STEPS[0],), (TWO_STEPS[1],)
     assert seq_ld_equal(*undecided, tiny) is Verdict.UNKNOWN
     differing = undecided[0] + (x,), undecided[1] + (T("x*x"),)
     assert seq_ld_equal(*differing, tiny) is Verdict.NOT_EQUAL
