@@ -44,7 +44,7 @@ from .invariants import (
     order_ald,
     specialize,
 )
-from .ldoracle import LdOracle, Verdict, decide_ld_1var, decide_ld_bounded
+from .ldoracle import Verdict, decide_ld_1var, decide_ld_bounded
 from .pbwords import (
     audit_derived_identities,
     check_word_length,
@@ -63,7 +63,6 @@ from .terms import (
     enumerate_terms,
     is_one_variable,
     is_special,
-    is_star_term,
     parse_term,
     render_term,
     seq_sq,
@@ -249,7 +248,7 @@ def _budget(text: str) -> tuple[int, int]:
 
 def cmd_decide_ald(args) -> int:
     t1, t2 = parse_term(args.left), parse_term(args.right)
-    verdict = decide_ald(t1, t2, LdOracle(*args.budget))
+    verdict = decide_ald(t1, t2, *args.budget)
     payload = {
         "verdict": verdict.kind,
         "i_left": render_term(inv_I(t1)),
@@ -273,7 +272,7 @@ def cmd_decide_ald(args) -> int:
 
 def cmd_decide_ld(args) -> int:
     t1, t2 = parse_term(args.left), parse_term(args.right)
-    if is_one_variable(t1) and is_one_variable(t2) and is_star_term(t1) and is_star_term(t2):
+    if is_one_variable(t1) and is_one_variable(t2):
         sign = decide_ld_1var(t1, t2)
         kind = {0: "equal", -1: "less", 1: "greater"}[sign]
     else:

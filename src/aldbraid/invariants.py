@@ -19,8 +19,7 @@ which reduces the ALD word problem to the LD one.
 
 from __future__ import annotations
 
-from .braids import braid_key, eval_star_braid
-from .ldoracle import DEFAULT_ORACLE, LdOracle, Verdict, seq_ld_equal
+from .ldoracle import DEFAULT_STEP_CAP, Verdict, decide_ld_1var, ld_class_key, seq_ld_equal
 from .terms import (
     ALD1,
     ALD2,
@@ -111,14 +110,16 @@ def replay(t: Term, steps: list[LawInstance]) -> Term:
     return t
 
 
-def decide_ald(t: Term, t2: Term, oracle: LdOracle = DEFAULT_ORACLE) -> Verdict:
-    """Decide t =_ALD t2: equal skeletons plus entrywise LD-equal sequences."""
+def decide_ald(t: Term, t2: Term, size_cap: int | None = None,
+               step_cap: int = DEFAULT_STEP_CAP) -> Verdict:
+    """Decide t =_ALD t2: equal skeletons plus entrywise LD-equal sequences,
+    the LD caps applying to each multi-variable entry pair."""
     if inv_I(t) != inv_I(t2):
         return Verdict.NOT_EQUAL
-    return seq_ld_equal(inv_J(t), inv_J(t2), oracle)
+    return seq_ld_equal(inv_J(t), inv_J(t2), size_cap, step_cap)
 
 
-def order_ald(s: Term, t: Term, oracle: LdOracle = DEFAULT_ORACLE) -> int:
+def order_ald(s: Term, t: Term) -> int:
     """Three-way order on one-variable terms whose kernel is ALD-equality.
 
     J-sequences compare first, entrywise in the LD order with a shorter
@@ -129,7 +130,7 @@ def order_ald(s: Term, t: Term, oracle: LdOracle = DEFAULT_ORACLE) -> int:
         raise ValueError("order_ald needs one-variable terms")
     js, jt = inv_J(s), inv_J(t)
     for a, b in zip(js, jt):
-        c = oracle.compare(a, b)
+        c = decide_ld_1var(a, b)
         if c != 0:
             return c
     if len(js) != len(jt):
@@ -140,9 +141,8 @@ def order_ald(s: Term, t: Term, oracle: LdOracle = DEFAULT_ORACLE) -> int:
 class LdClassIndex:
     """Interning of LD-classes of one-variable *-terms.
 
-    A class is keyed by the Dynnikov coordinates (`braid_key`) of the term's
-    braid evaluation at the trivial braid, a complete invariant, so a lookup
-    is one dict probe; ids follow the order of first appearance.  A term's
+    A class is keyed by `ld_class_key`, a complete invariant, so a lookup is
+    one dict probe; ids follow the order of first appearance.  A term's
     class never changes once found, so each distinct term is keyed once per
     index, in a dict keyed on the interned term node.
     """
@@ -154,7 +154,7 @@ class LdClassIndex:
     def class_id(self, t: Term) -> int:
         found = self._ids.get(t)
         if found is None:
-            key = braid_key(eval_star_braid(t, ()))
+            key = ld_class_key(t)
             found = self._ids[t] = self._classes.setdefault(key, len(self._classes))
         return found
 

@@ -7,15 +7,18 @@ closure of any braid under * is a free LD-system of rank one), and the
 σ-positivity order on the evaluations linearly orders the LD-classes, with
 s ⊏ t forcing s < t.
 
-For terms with several variables only a bounded semi-decision is available
-here.  NOT_EQUAL comes from three sound tests: LD steps preserve the set of
-variables occurring and the rightmost variable (though not variable
-multiplicities), and the assignment x_i ↦ x extends to an LD-homomorphism,
-so terms whose one-variable projections the total decision tells apart are
-LD-inequivalent (Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL
-comes only from a breadth-first closure under single LD steps, capped in
-term size and in expansion count; a pair that passes the three tests and
-whose closure misses the other term within the caps is UNKNOWN.
+`decide_ld_bounded` is the one entry point for LD-equality: it answers a
+one-variable pair by that total decision, EQUAL or NOT_EQUAL whatever the
+caps, and `ld_class_key` is the matching class key.  For terms with several
+variables only a bounded semi-decision is available here.  NOT_EQUAL comes
+from three sound tests: LD steps preserve the set of variables occurring and
+the rightmost variable (though not variable multiplicities), and the
+assignment x_i ↦ x extends to an LD-homomorphism, so terms whose
+one-variable projections the total decision tells apart are LD-inequivalent
+(Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL comes only from a
+breadth-first closure under single LD steps, capped in term size and in
+expansion count; a pair that passes the three tests and whose closure misses
+the other term within the caps is UNKNOWN.
 
 No braid word longer than `pbwords.MAX_WORD_LETTERS` is built (a left comb
 of n leaves evaluates to 2^(n-1) - 1 letters): the one-variable decision
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 
 from .braids import LESS, BraidWord, braid_compare, braid_key, eval_star_braid
 from .pbwords import MAX_WORD_LETTERS, check_word_length, pb_term_length
@@ -96,6 +98,13 @@ def _star_braid(t: Term) -> BraidWord:
     return eval_star_braid(t, ())
 
 
+def ld_class_key(t: Term) -> tuple[int, ...]:
+    """Key of the LD-class of a one-variable *-term: the Dynnikov coordinates
+    (`braid_key`) of eval_star_braid(t, ()), a complete invariant; ValueError
+    when the braid word would exceed the cap."""
+    return braid_key(_star_braid(t))
+
+
 def _projections_differ(s: Term, t: Term) -> bool:
     """Whether the x_i ↦ x projections of s and t are LD-inequivalent, which
     makes s and t LD-inequivalent; False when they are LD-equivalent or when
@@ -103,7 +112,7 @@ def _projections_differ(s: Term, t: Term) -> bool:
     ps, pt = project(s), project(t)
     if ps == pt or not (_fits(ps) and _fits(pt)):
         return False
-    return braid_key(eval_star_braid(ps, ())) != braid_key(eval_star_braid(pt, ()))
+    return ld_class_key(ps) != ld_class_key(pt)
 
 
 def default_size_cap(s: Term, t: Term) -> int:
@@ -138,12 +147,14 @@ def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
 
 def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
                       step_cap: int = DEFAULT_STEP_CAP) -> Verdict:
-    """Bounded semi-decision of s =_LD t for arbitrary *-terms.
+    """Decision of s =_LD t for *-terms, total on one variable, bounded otherwise.
 
-    EQUAL only when a rewriting path within the caps connects the terms;
-    NOT_EQUAL when the variable sets or the rightmost variables differ, or
-    when the x_i ↦ x projections are LD-inequivalent (a test skipped when a
-    projection's braid word would exceed the cap); otherwise UNKNOWN.
+    NOT_EQUAL when the variable sets or the rightmost variables differ; a
+    one-variable pair is then EQUAL or NOT_EQUAL by `decide_ld_1var`,
+    whatever the caps.  Otherwise NOT_EQUAL when the x_i ↦ x projections are
+    LD-inequivalent (a test skipped when a projection's braid word would
+    exceed the cap), EQUAL when a rewriting path within the caps connects
+    the terms, and UNKNOWN when none does.
     """
     _require_star(s)
     _require_star(t)
@@ -151,9 +162,11 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
         return Verdict.EQUAL
     if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
         return Verdict.NOT_EQUAL
+    if is_one_variable(s):
+        return Verdict.EQUAL if decide_ld_1var(s, t) == 0 else Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)
-    elif size_cap < size(t):
+    elif size_cap < max(size(s), size(t)):
         raise ValueError("size_cap must be at least the size of both terms")
     if _projections_differ(s, t):
         return Verdict.NOT_EQUAL
@@ -162,34 +175,15 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
     return Verdict.UNKNOWN
 
 
-@dataclass
-class LdOracle:
-    """LD-equivalence oracle: total on one-variable input, bounded otherwise."""
-
-    size_cap: int | None = None
-    step_cap: int = DEFAULT_STEP_CAP
-
-    def compare(self, s: Term, t: Term) -> int:
-        return decide_ld_1var(s, t)
-
-    def equal(self, s: Term, t: Term) -> Verdict:
-        if s == t:
-            return Verdict.EQUAL
-        if is_one_variable(s) and is_one_variable(t):
-            return Verdict.EQUAL if decide_ld_1var(s, t) == 0 else Verdict.NOT_EQUAL
-        return decide_ld_bounded(s, t, self.size_cap, self.step_cap)
-
-
-DEFAULT_ORACLE = LdOracle()
-
-
-def seq_ld_equal(s: TermSeq, t: TermSeq, oracle: LdOracle = DEFAULT_ORACLE) -> Verdict:
-    """Entrywise LD-equality; UNKNOWN when some pair exhausts the caps."""
+def seq_ld_equal(s: TermSeq, t: TermSeq, size_cap: int | None = None,
+                 step_cap: int = DEFAULT_STEP_CAP) -> Verdict:
+    """Entrywise LD-equality by `decide_ld_bounded` with the given caps;
+    UNKNOWN when some pair exhausts the caps and none differs."""
     if len(s) != len(t):
         return Verdict.NOT_EQUAL
     result = Verdict.EQUAL
     for a, b in zip(s, t):
-        verdict = oracle.equal(a, b)
+        verdict = decide_ld_bounded(a, b, size_cap, step_cap)
         if verdict is Verdict.NOT_EQUAL:
             return verdict
         if verdict is Verdict.UNKNOWN:

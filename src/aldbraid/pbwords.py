@@ -31,7 +31,7 @@ first block into a certificate of non-membership in Im ∂.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .terms import CIRC, Compound, Term, Variable, size, x_power
 
@@ -298,30 +298,6 @@ def relation_instances(max_index: int) -> list[RelationInstance]:
                 )
             )
     return out
-
-
-def pb_relation_neighbors(w: PBWord, max_index: int | None = None) -> Iterator[PBWord]:
-    """Words one sound move away: a relation applied to a subword, a free
-    cancellation, or a free insertion (bounded by max_index)."""
-    w = tuple(w)
-    if max_index is None:
-        max_index = max((abs(i) for _, i in w), default=1) + 1
-    rules = []
-    for rel in relation_instances(max_index):
-        rules.append((rel.lhs, rel.rhs))
-        rules.append((rel.rhs, rel.lhs))
-        rules.append((pb_inverse(rel.lhs), pb_inverse(rel.rhs)))
-        rules.append((pb_inverse(rel.rhs), pb_inverse(rel.lhs)))
-    for pos in range(len(w) + 1):
-        for lhs, rhs in rules:
-            if w[pos : pos + len(lhs)] == lhs:
-                yield w[:pos] + rhs + w[pos + len(lhs) :]
-        if pos < len(w) - 1 and w[pos + 1] == (w[pos][0], -w[pos][1]):
-            yield w[:pos] + w[pos + 2 :]
-        for fam in ("s", "a"):
-            for i in range(1, max_index + 1):
-                for sign in (1, -1):
-                    yield w[:pos] + ((fam, sign * i), (fam, -sign * i)) + w[pos:]
 
 
 # ---------------------------------------------------------------------------

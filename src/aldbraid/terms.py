@@ -45,12 +45,16 @@ ALD2 = "ald2"
 # index or an (op, left, right) triple, so structurally equal terms are one
 # object and `==` is identity.  Each node caches its size and its structural
 # hash, hash((index,)) or hash((op, left, right)), when it is built, so hashes
-# and set orders do not depend on where a node was allocated.  The table holds
-# its nodes weakly, so a term lives as long as something else holds it; a
-# Compound's key names its children by id, which is safe because a live node
-# holds its children.
+# and set orders do not depend on where a node was allocated.  It also caches
+# its variable set, a frozenset shared with a child whenever one child's set
+# covers the other's, and the operators occurring in it as a bitmask.  The
+# table holds its nodes weakly, so a term lives as long as something else
+# holds it; a Compound's key names its children by id, which is safe because
+# a live node holds its children.
 _interned: dict = {}
 _set = object.__setattr__
+_STAR_BIT, _CIRC_BIT = 1, 2
+_OP_BIT = {STAR: _STAR_BIT, CIRC: _CIRC_BIT}
 
 
 def _forget(ref: weakref.KeyedRef, table: dict = _interned) -> None:
@@ -59,7 +63,7 @@ def _forget(ref: weakref.KeyedRef, table: dict = _interned) -> None:
 
 
 class _Node:
-    __slots__ = ("size", "_hash", "__weakref__")
+    __slots__ = ("size", "var_set", "op_bits", "_hash", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -83,6 +87,8 @@ class Variable(_Node):
             node = object.__new__(cls)
             _set(node, "index", index)
             _set(node, "size", 1)
+            _set(node, "var_set", frozenset((index,)))
+            _set(node, "op_bits", 0)
             _set(node, "_hash", hash((index,)))
             _interned[index] = weakref.KeyedRef(node, _forget, index)
         return node
@@ -102,13 +108,17 @@ class Compound(_Node):
         ref = _interned.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            if op not in (STAR, CIRC):
+            bit = _OP_BIT.get(op)
+            if bit is None:
                 raise ValueError(f"unknown operator {op!r}")
+            lv, rv = left.var_set, right.var_set
             node = object.__new__(cls)
             _set(node, "op", op)
             _set(node, "left", left)
             _set(node, "right", right)
             _set(node, "size", left.size + right.size)
+            _set(node, "var_set", lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
+            _set(node, "op_bits", left.op_bits | right.op_bits | bit)
             _set(node, "_hash", hash((op, left, right)))
             _interned[key] = weakref.KeyedRef(node, _forget, key)
         return node
@@ -278,10 +288,9 @@ def ht_r(t: Term) -> int:
     return h
 
 
-def variables(t: Term) -> set[int]:
-    if isinstance(t, Variable):
-        return {t.index}
-    return variables(t.left) | variables(t.right)
+def variables(t: Term) -> frozenset[int]:
+    """The indices of the variables occurring in t, cached on the node."""
+    return t.var_set
 
 
 def rightmost_variable(t: Term) -> int:
@@ -291,22 +300,15 @@ def rightmost_variable(t: Term) -> int:
 
 
 def is_one_variable(t: Term) -> bool:
-    return variables(t) == {1}
-
-
-def uses_only(t: Term, ops: Iterable[str]) -> bool:
-    allowed = set(ops)
-    if isinstance(t, Variable):
-        return True
-    return t.op in allowed and uses_only(t.left, allowed) and uses_only(t.right, allowed)
+    return t.var_set == X.var_set
 
 
 def is_star_term(t: Term) -> bool:
-    return uses_only(t, (STAR,))
+    return not t.op_bits & _CIRC_BIT
 
 
 def is_circ_term(t: Term) -> bool:
-    return uses_only(t, (CIRC,))
+    return not t.op_bits & _STAR_BIT
 
 
 def is_special(t: Term) -> bool:

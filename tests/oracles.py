@@ -17,9 +17,11 @@ with no step cache, which `word_to_diagram` must reproduce exactly.
 `diagram_equal` inside buckets of a cheap diagram invariant, double loops
 over all class and special-form pairs, and the class partition keyed by
 `BraidClassIndex`.  `closure_only_decide_ld` is the bounded LD decision
-without the projection test: NOT_EQUAL only from the variable-set and
-rightmost-variable filters, EQUAL only from `ld_closure`, which it shares
-with the decision under test.
+without the projection test or the one-variable decision: NOT_EQUAL only
+from the variable-set and rightmost-variable filters, EQUAL only from
+`ld_closure`, which it shares with the decision under test.
+`recursive_variables`, `recursive_uses_only` and `recursive_is_special` walk
+the whole term, where the package reads facts cached on each node.
 """
 
 from __future__ import annotations
@@ -52,11 +54,9 @@ from aldbraid.terms import (
     circ_cmp,
     decompose_special,
     enumerate_terms,
-    is_special,
     render_term,
     rightmost_variable,
     seq_sq,
-    variables,
 )
 
 
@@ -245,6 +245,27 @@ def to_struct(t):
     return StructCompound(t.op, to_struct(t.left), to_struct(t.right))
 
 
+def recursive_variables(t) -> set:
+    if isinstance(t, Variable):
+        return {t.index}
+    return recursive_variables(t.left) | recursive_variables(t.right)
+
+
+def recursive_uses_only(t, ops) -> bool:
+    if isinstance(t, Variable):
+        return True
+    return t.op in ops and recursive_uses_only(t.left, ops) and recursive_uses_only(t.right, ops)
+
+
+def recursive_is_special(t) -> bool:
+    """No ∘ below a *: a * node heads a pure *-term."""
+    if isinstance(t, Variable):
+        return True
+    if t.op == "*":
+        return recursive_uses_only(t, "*")
+    return recursive_is_special(t.left) and recursive_is_special(t.right)
+
+
 def from_struct(s):
     """The interned term of a structural one."""
     if isinstance(s, StructVariable):
@@ -353,7 +374,7 @@ def pairwise_freeness_scan(config, evaluate) -> dict:
     def failure(word, **at):
         return {"gamma": word, **{key: render_term(terms[i]) for key, i in at.items()}}
 
-    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if is_special(t)]
+    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if recursive_is_special(t)]
     skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
     rank = {u: r for r, u in enumerate(skeletons)}
     specials = [(i, rank[u], seq) for i, u, seq in specials]
@@ -383,10 +404,11 @@ def pairwise_freeness_scan(config, evaluate) -> dict:
 
 
 def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Verdict:
-    """`decide_ld_bounded` as it was before the projection test."""
+    """`decide_ld_bounded` as it was before the projection test and the
+    one-variable decision."""
     if s == t:
         return Verdict.EQUAL
-    if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
+    if recursive_variables(s) != recursive_variables(t) or rightmost_variable(s) != rightmost_variable(t):
         return Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)

@@ -117,6 +117,17 @@ def test_budget_below_input_size_exit(capsys):
         assert message in err, argv
 
 
+def test_size_cap_below_either_term_one_message(capsys):
+    # the projections agree, so only the size cap stops the closure, in either order
+    pair = ("(x1*x2)*(x1*x1)", "x1*(x2*x1)")
+    errors = []
+    for left, right in (pair, pair[::-1]):
+        code, _, err = run(capsys, "decide-ld", "--budget", "3,10", left, right)
+        assert code == 64
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: size_cap must be at least the size of both terms\n"
+
+
 def test_depth_limit(capsys):
     # the deepest accepted term still gets a verdict; deeper ones are usage errors
     code, out, _ = run(capsys, "decide-ald", "x*" * MAX_DEPTH + "x", "x*" * (MAX_DEPTH - 1) + "x")

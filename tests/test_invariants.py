@@ -162,8 +162,8 @@ def test_ald_class_key_partitions_like_decide_ald():
 
 def test_class_index_looks_up_each_distinct_entry_once(monkeypatch):
     terms = list(enumerate_terms(1, "*o", 5))
-    key, calls = invariants.braid_key, []
-    monkeypatch.setattr(invariants, "braid_key", lambda w: calls.append(1) or key(w))
+    key, calls = invariants.ld_class_key, []
+    monkeypatch.setattr(invariants, "ld_class_key", lambda t: calls.append(1) or key(t))
     classes = ald_partition(terms)
     monkeypatch.undo()
     assert len(calls) == len({e for t in terms for e in inv_J(t)})

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from aldbraid.braids import braid_compare, eval_star_braid
+from aldbraid.invariants import decide_ald
 from aldbraid.ldoracle import (
-    LdOracle,
     Verdict,
     decide_ld_1var,
     decide_ld_bounded,
@@ -80,6 +80,25 @@ def test_decide_ld_bounded_examples():
     # cannot reach the other term
     assert decide_ld_bounded(*TWO_STEPS, size_cap=6, step_cap=1) is Verdict.UNKNOWN
     assert decide_ld_bounded(*TWO_STEPS) is Verdict.EQUAL
+
+
+def test_one_variable_pair_gets_one_verdict_from_every_entry_point():
+    # LD-equal one step apart, and the closure may take no step at all
+    s, t = T("x*(x*(x*x))"), T("(x*x)*((x*x)*(x*x))")
+    tiny = dict(size_cap=6, step_cap=1)
+    assert decide_ld_bounded(s, t, **tiny) is Verdict.EQUAL
+    assert seq_ld_equal((s,), (t,), **tiny) is Verdict.EQUAL
+    assert decide_ald(s, t, **tiny) is Verdict.EQUAL
+
+
+def test_one_variable_pairs_are_never_unknown():
+    terms = list(enumerate_terms(1, "*", 5))
+    for budget in ({}, dict(size_cap=1, step_cap=1)):
+        for s in terms:
+            for t in terms:
+                verdict = decide_ld_bounded(s, t, **budget)
+                assert verdict is not Verdict.UNKNOWN, (s, t)
+                assert (verdict is Verdict.EQUAL) == (decide_ld_1var(s, t) == 0), (s, t)
 
 
 def test_projection_test_skipped_past_the_word_cap():
@@ -164,12 +183,12 @@ def test_seq_ld_equal():
     assert seq_ld_equal((x, x), (x, x, x)) is Verdict.NOT_EQUAL
     assert seq_ld_equal((T("x*(x*x)"),), (T("(x*x)*(x*x)"),)) is Verdict.EQUAL
     # an exhausted budget is UNKNOWN, unless another entry pair differs
-    tiny = LdOracle(size_cap=6, step_cap=1)
-    assert seq_ld_equal((T("(x1*x2)*(x1*x2)"),), (T("x1*x2"),), tiny) is Verdict.NOT_EQUAL
+    tiny = dict(size_cap=6, step_cap=1)
+    assert seq_ld_equal((T("(x1*x2)*(x1*x2)"),), (T("x1*x2"),), **tiny) is Verdict.NOT_EQUAL
     undecided = (TWO_STEPS[0],), (TWO_STEPS[1],)
-    assert seq_ld_equal(*undecided, tiny) is Verdict.UNKNOWN
+    assert seq_ld_equal(*undecided, **tiny) is Verdict.UNKNOWN
     differing = undecided[0] + (x,), undecided[1] + (T("x*x"),)
-    assert seq_ld_equal(*differing, tiny) is Verdict.NOT_EQUAL
+    assert seq_ld_equal(*differing, **tiny) is Verdict.NOT_EQUAL
 
 
 def test_find_sq_witness_examples():

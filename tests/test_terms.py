@@ -23,8 +23,11 @@ from aldbraid.terms import (
     decompose_special,
     enumerate_terms,
     ht_r,
+    is_circ_term,
     is_iter_left_subterm,
+    is_one_variable,
     is_special,
+    is_star_term,
     law_instances,
     parse_term,
     random_term,
@@ -33,8 +36,10 @@ from aldbraid.terms import (
     seq_star,
     size,
     substitute,
+    variables,
     x_power,
 )
+from oracles import recursive_is_special, recursive_uses_only, recursive_variables
 
 T = parse_term
 
@@ -148,6 +153,20 @@ def test_substitute_decompose_round_trip():
         else:
             with pytest.raises(NotSpecial):
                 decompose_special(t)
+
+
+def test_cached_term_facts_match_recursive_oracles():
+    rng = random.Random(13)
+    randoms = [
+        random_term(rng, rng.randint(1, 12), rng.randint(1, 4), rng.choice(("*", "o", "*o")))
+        for _ in range(2_000)
+    ]
+    for t in list(enumerate_terms(3, "*o", 4)) + randoms:
+        assert variables(t) == recursive_variables(t), t
+        assert is_one_variable(t) == (recursive_variables(t) == {1}), t
+        assert is_star_term(t) == recursive_uses_only(t, "*"), t
+        assert is_circ_term(t) == recursive_uses_only(t, "o"), t
+        assert is_special(t) == recursive_is_special(t), t
 
 
 # ---------------------------------------------------------------------------
