@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .braids import braid_key
-from .diagrams import (
-    diagram_eval_term,
-    diagram_reduce,
-    word_eq_oracle,
-    word_to_diagram,
-)
+from .diagrams import diagram_eval_term, word_eq_oracle, word_to_diagram
 from .invariants import (
     LdClassIndex,
     ald_class_key,
@@ -108,15 +103,16 @@ def ald_partition(terms) -> dict:
 
 
 def _equality_labels(diagrams) -> list[int]:
-    """One label per diagram, the position of the first diagram equal to it:
-    two labels agree exactly when `diagram_equal` holds.  Each diagram is
-    reduced once, and reduced diagrams are equal iff their trees are and
-    their braids have the same key."""
+    """One label per reduced diagram, the position of the first diagram
+    equal to it: two labels agree exactly when `diagram_equal` holds, since
+    reduced diagrams are equal iff their trees are and their braids have the
+    same key.  The scan passes evaluations of the reduced `word_to_diagram`
+    output, which `diagram_eval_term` keeps reduced, so nothing is reduced
+    here."""
     first: dict = {}
     labels: list[int] = []
     for idx, d in enumerate(diagrams):
-        r = diagram_reduce(d)
-        labels.append(first.setdefault((r.dom, r.cod, braid_key(r.braid)), idx))
+        labels.append(first.setdefault((d.dom, d.cod, braid_key(d.braid)), idx))
     return labels
 
 
@@ -321,7 +317,7 @@ def cmd_eval(args) -> int:
         return EX_EQUAL
     check_word_length(pb_term_length(t, len(gamma)))
     if args.mode == "diagram":
-        d = diagram_reduce(diagram_eval_term(t, word_to_diagram(gamma)))
+        d = diagram_eval_term(t, word_to_diagram(gamma))
         _emit(args, d.to_json(), [json.dumps(d.to_json())])
     else:
         word = pb_eval_term(t, gamma)

@@ -214,6 +214,26 @@ class PBDiagram:
         )
 
 
+_set = object.__setattr__
+
+
+def _diagram(dom: Term, braid: BraidWord, cod: Term, perm: tuple[int, ...]) -> PBDiagram:
+    """A PBDiagram from parts its caller has already checked, with the
+    permutation its caller already knows: products, shifts and inverses
+    build their results here, without the public `__post_init__`.  Only the
+    leaf counts are compared again, which is O(1) on interned trees."""
+    n = len(perm)
+    if dom.size != n or cod.size != n:
+        raise ValueError("dom, cod and permutation must have the same number of leaves")
+    d = object.__new__(PBDiagram)
+    _set(d, "dom", dom)
+    _set(d, "braid", braid)
+    _set(d, "cod", cod)
+    _set(d, "strands", n)
+    _set(d, "permutation", perm)
+    return d
+
+
 def identity_diagram() -> PBDiagram:
     return PBDiagram(X, (), X)
 
@@ -348,33 +368,46 @@ def diagram_reduce(d: PBDiagram, rng: random.Random | None = None) -> PBDiagram:
 def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
     """Stack d2 below d1, refining each side to the middle tree in one pass.
     d1's strands rank by their cod leaf and d2's by their dom leaf, as in a
-    leftmost-first refinement one caret at a time."""
+    leftmost-first refinement one caret at a time.  A side whose tree already
+    is the middle tree keeps its tree and braid as they are."""
     middle = tree_join(d1.cod, d2.dom)
-    perm1, perm2 = d1.permutation, d2.permutation
-    below = _leaf_subtrees(d1.cod, middle)
-    # the graft keys are tuples built from lists, not from generators: CPython
-    # grows a tuple built from a generator from 10 slots, and such tuples, once
-    # freed, pile up in its per-length free lists (1 MiB more peak memory in
-    # the word-model checks)
-    top = tuple([below[q - 1] for q in perm1])
-    above = _leaf_subtrees(d2.dom, middle)
-    bottom = tuple([above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)])
-    braid = _cable(d1.braid, [size(t) for t in top], perm1) + _cable(
-        d2.braid, [size(t) for t in above], range(d2.strands)
-    )
-    return diagram_reduce(PBDiagram(_graft(d1.dom, top), free_reduce(braid), _graft(d2.cod, bottom)))
+    if middle is d1.cod:
+        dom, braid1 = d1.dom, d1.braid
+    else:
+        perm1 = d1.permutation
+        below = _leaf_subtrees(d1.cod, middle)
+        # the graft keys are tuples built from lists, not from generators:
+        # CPython grows a tuple built from a generator from 10 slots, and such
+        # tuples, once freed, pile up in its per-length free lists (1 MiB more
+        # peak memory in the word-model checks)
+        top = tuple([below[q - 1] for q in perm1])
+        dom, braid1 = _graft(d1.dom, top), _cable(d1.braid, [t.size for t in top], perm1)
+    if middle is d2.dom:
+        cod, braid2 = d2.cod, d2.braid
+    else:
+        perm2 = d2.permutation
+        above = _leaf_subtrees(d2.dom, middle)
+        bottom = tuple([above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)])
+        cod = _graft(d2.cod, bottom)
+        braid2 = _cable(d2.braid, [t.size for t in above], range(d2.strands))
+    braid = free_reduce(braid1 + braid2)
+    return diagram_reduce(_diagram(dom, braid, cod, permutation(braid, middle.size)))
 
 
 def diagram_inverse(d: PBDiagram) -> PBDiagram:
-    return PBDiagram(d.cod, inverse(d.braid), d.dom)
+    inv = [0] * d.strands
+    for k, q in enumerate(d.permutation, start=1):
+        inv[q - 1] = k
+    return _diagram(d.cod, inverse(d.braid), d.dom, tuple(inv))
 
 
 def diagram_shift(d: PBDiagram) -> PBDiagram:
     """The shift endomorphism: a fresh first strand in front of everything."""
-    return PBDiagram(
+    return _diagram(
         Compound(CIRC, X, d.dom),
         tuple([x + 1 if x > 0 else x - 1 for x in d.braid]),
         Compound(CIRC, X, d.cod),
+        (1, *[q + 1 for q in d.permutation]),
     )
 
 
@@ -438,10 +471,14 @@ def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
 def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDiagram:
     """Evaluate a one-variable term at the diagram g; memoizes subterms.
 
-    b * c = ((b · sh(c)) · σ1) · sh(b)⁻¹ and b ∘ c = (b · sh(c)) · a1 both
+    b ∘ c = (b · sh(c)) · a1 and b * c = (b · sh(c)) · (σ1 · sh(b)⁻¹) both
     begin with the product b · sh(c), so the first of the two to be
     evaluated leaves it in the cache under (b's term, c's term) and the
-    second pops it."""
+    second pops it.  The right factor σ1 · sh(b)⁻¹ of b * c depends on b
+    alone and stays in the cache under (b's term,), so each term pair costs
+    three products, not four.  Every product ends in `diagram_reduce`, so
+    the evaluations of a reduced g, such as those of `word_to_diagram`, are
+    reduced too."""
     if _cache is None:
         _cache = {}
     if t in _cache:
@@ -458,10 +495,14 @@ def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDi
         if product is None:
             product = _cache[pair] = diagram_multiply(left, diagram_shift(right))
         if t.op == "*":
-            result = diagram_multiply(
-                diagram_multiply(product, gen_sigma(1)), diagram_inverse(diagram_shift(left))
-            )
+            key = (t.left,)
+            factor = _cache.get(key)
+            if factor is None:
+                factor = _cache[key] = diagram_multiply(
+                    _letter_diagram("s", 1), diagram_inverse(diagram_shift(left))
+                )
+            result = diagram_multiply(product, factor)
         else:
-            result = diagram_multiply(product, gen_a(1))
+            result = diagram_multiply(product, _letter_diagram("a", 1))
     _cache[t] = result
     return result

@@ -32,31 +32,52 @@ from .terms import (
     Term,
     TermSeq,
     Variable,
+    X,
     apply_law,
     circ_cmp,
+    is_circ_term,
     is_one_variable,
+    is_star_term,
     seq_star,
     size,
     substitute,
 )
 
+_set = object.__setattr__
 
+
+# Both invariants are cached on the node the first time they are asked for
+# (the `inv_i`/`inv_j` slots of `Compound`), so each node of a term is worked
+# out once.  A one-variable ∘-term is its own I-part and a *-term t has
+# J(t) = (t,); both are returned without caching, so no node holds itself.
 def inv_I(t: Term) -> Term:
     """The ∘-skeleton invariant: a one-variable ∘-term."""
     if isinstance(t, Variable):
-        return Variable(1)
-    if t.op == STAR:
-        return inv_I(t.right)
-    return Compound(CIRC, inv_I(t.left), inv_I(t.right))
+        return X
+    found = t.inv_i
+    if found is None:
+        if is_circ_term(t) and is_one_variable(t):
+            return t
+        if t.op == STAR:
+            found = inv_I(t.right)
+        else:
+            found = Compound(CIRC, inv_I(t.left), inv_I(t.right))
+        _set(t, "inv_i", found)
+    return found
 
 
 def inv_J(t: Term) -> TermSeq:
     """The sequence invariant: *-terms, one per leaf of inv_I(t)."""
-    if isinstance(t, Variable):
+    if is_star_term(t):
         return (t,)
-    if t.op == STAR:
-        return seq_star(inv_J(t.left), inv_J(t.right))
-    return inv_J(t.left) + inv_J(t.right)
+    found = t.inv_j
+    if found is None:
+        if t.op == STAR:
+            found = seq_star(inv_J(t.left), inv_J(t.right))
+        else:
+            found = inv_J(t.left) + inv_J(t.right)
+        _set(t, "inv_j", found)
+    return found
 
 
 def specialize(t: Term) -> Term:

@@ -47,10 +47,12 @@ ALD2 = "ald2"
 # hash, hash((index,)) or hash((op, left, right)), when it is built, so hashes
 # and set orders do not depend on where a node was allocated.  It also caches
 # its variable set, a frozenset shared with a child whenever one child's set
-# covers the other's, and the operators occurring in it as a bitmask.  The
-# table holds its nodes weakly, so a term lives as long as something else
-# holds it; a Compound's key names its children by id, which is safe because
-# a live node holds its children.
+# covers the other's, and the operators occurring in it as a bitmask.  A
+# Compound has two more slots, `inv_i` and `inv_j`, which start as None and
+# which `invariants.inv_I`/`inv_J` fill on first use.  The table holds its
+# nodes weakly, so a term lives as long as something else holds it; a
+# Compound's key names its children by id, which is safe because a live node
+# holds its children.
 _interned: dict = {}
 _set = object.__setattr__
 _STAR_BIT, _CIRC_BIT = 1, 2
@@ -101,7 +103,7 @@ class Variable(_Node):
 
 
 class Compound(_Node):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "inv_i", "inv_j")
 
     def __new__(cls, op: str, left: Term, right: Term) -> Compound:
         key = (op, id(left), id(right))
@@ -120,6 +122,8 @@ class Compound(_Node):
             _set(node, "var_set", lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
             _set(node, "op_bits", left.op_bits | right.op_bits | bit)
             _set(node, "_hash", hash((op, left, right)))
+            _set(node, "inv_i", None)
+            _set(node, "inv_j", None)
             _interned[key] = weakref.KeyedRef(node, _forget, key)
         return node
 

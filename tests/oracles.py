@@ -10,7 +10,12 @@ compare and hash by walking the whole term, where the package's terms are
 interned; `struct_eval_diagram` memoizes on them, and the differential test
 runs it without the node-keyed tree caches of `diagrams`, through
 `diagram_star` and `diagram_circ`, which compute b · sh(c) once per
-operation where `diagram_eval_term` shares it between b * c and b ∘ c.
+operation and b * c as ((b · sh(c)) · σ1) · sh(b)⁻¹, four products in all,
+where `diagram_eval_term` shares b · sh(c) between b * c and b ∘ c and
+computes b * c as (b · sh(c)) · (σ1 · sh(b)⁻¹) with one right factor per
+left operand, three products per term pair; the two must agree letter for
+letter.  `struct_inv_I` and `struct_inv_J` recompute the invariants that
+`inv_I` and `inv_J` cache on each node.
 `word_to_diagram_by_letters` multiplies by one generator diagram per letter
 with no step cache, which `word_to_diagram` must reproduce exactly.
 `pairwise_freeness_scan` is the freeness scan with equality by pairwise

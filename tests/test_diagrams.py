@@ -119,21 +119,73 @@ def test_multiply_matches_caret_by_caret_refinement():
         assert diagram_multiply(d1, d2) == multiply_by_splitting(d1, d2)
 
 
+def _default_word_diagrams():
+    return [word_to_diagram(W(g)) for g in ("", "s1", "a1", "s1 a2")]
+
+
+def _evaluate_all(g, max_size):
+    cache = {}
+    return [diagram_eval_term(t, g, cache) for t in enumerate_terms(1, "*o", max_size)]
+
+
 def test_multiply_matches_caret_by_caret_refinement_in_term_evaluation(monkeypatch):
-    # the operands of every product in the evaluation of the terms of size <= 5
+    # the operands of every product in the evaluation of the terms of size
+    # <= 5 at the four default words, and of size 6 at s1 a2
     multiply, operands = diagrams.diagram_multiply, []
-    gammas = [word_to_diagram(W(g)) for g in ("", "s1", "a1", "s1 a2")]
+    gammas = _default_word_diagrams()
     monkeypatch.setattr(
         diagrams, "diagram_multiply", lambda d1, d2: operands.append((d1, d2)) or multiply(d1, d2)
     )
     for g in gammas:
-        cache = {}
-        for t in enumerate_terms(1, "*o", 5):
-            diagram_eval_term(t, g, cache)
+        _evaluate_all(g, 5)
+    _evaluate_all(gammas[-1], 6)
     monkeypatch.undo()
     assert len(operands) > 2_000
     for d1, d2 in operands:
         assert multiply(d1, d2) == multiply_by_splitting(d1, d2)
+    # among them the right factors σ1 · sh(b)⁻¹ of b * c, and the products
+    # (b · sh(c)) · (σ1 · sh(b)⁻¹) that finish it
+    sigma1 = diagrams._letter_diagram("s", 1)
+    factors = {multiply(d1, d2) for d1, d2 in operands if d1 == sigma1}
+    assert factors
+    assert any(d2 in factors for _, d2 in operands)
+
+
+def test_private_constructor_matches_public_one(monkeypatch):
+    # every diagram the products, shifts and inverses build in the
+    # evaluation of the terms of size <= 6 at the four default words
+    build, built = diagrams._diagram, []
+    gammas = _default_word_diagrams()
+    monkeypatch.setattr(
+        diagrams, "_diagram", lambda *parts: built.append(build(*parts)) or built[-1]
+    )
+    for g in gammas:
+        _evaluate_all(g, 6)
+    monkeypatch.undo()
+    assert len(built) > 10_000
+    for d in built:
+        ref = PBDiagram(d.dom, d.braid, d.cod)
+        assert (d.dom, d.braid, d.cod, d.strands, d.permutation) == (
+            ref.dom,
+            ref.braid,
+            ref.cod,
+            ref.strands,
+            ref.permutation,
+        )
+
+
+def test_private_constructor_checks_leaf_counts():
+    with pytest.raises(ValueError):
+        diagrams._diagram(x_power(2), (), x_power(3), (1, 2))
+    with pytest.raises(ValueError):
+        diagrams._diagram(x_power(3), (), x_power(3), (1, 2))
+
+
+def test_evaluations_are_reduced():
+    # the freeness scan and eval --diagram label and print them unreduced
+    for g in _default_word_diagrams():
+        for d in _evaluate_all(g, 6):
+            assert diagram_reduce(d) == d
 
 
 def test_multiply_associative_braid_relation():

@@ -70,6 +70,40 @@ def test_intern_table_drops_unreferenced_terms():
     assert len(terms._interned) == before
 
 
+def test_cached_invariants_agree_with_structural_ones_on_several_variables():
+    rng = random.Random(7)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 9), n_vars=3)
+        s = to_struct(t)
+        for _ in range(2):  # the second call reads the values cached on the nodes
+            assert to_struct(inv_I(t)) == struct_inv_I(s)
+            assert tuple(to_struct(e) for e in inv_J(t)) == struct_inv_J(s)
+
+
+def test_cached_invariants_make_no_reference_cycles():
+    # a one-variable ∘-term is its own I-part and a *-term its own only J
+    # entry; caching either on the node would make a cycle that only the
+    # cyclic collector frees
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        rng = random.Random(11)
+        batch = [random_term(rng, 10, n_vars=30) for _ in range(100)]
+        batch += [random_term(rng, 10, ops=ops) for ops in ("*", "o", "*o") for _ in range(100)]
+        for t in batch:
+            inv_I(t), inv_J(t)
+        del batch, t
+        gc.collect()
+        leaked = [obj for obj in gc.garbage[before:] if isinstance(obj, Compound)]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        gc.enable()
+    assert leaked == []
+
+
 def test_tree_caches_are_bounded():
     # a size-6 evaluation makes more distinct _graft keys than the cache holds
     for name in TREE_CACHES:
