@@ -13,10 +13,14 @@ pass through unchanged, and the two σ_i letters vanish.  Every reduction
 sequence terminates, and a handle-free word is empty or has its lowest-index
 generator occurring with a single sign (σ-positive or σ-negative).  That sign
 decides the order: w1 < w2 iff w1⁻¹ w2 reduces to a σ-positive word, which
-makes the order total, left-invariant, and compatible with equality
-(w1 = w2 iff the quotient reduces to the empty word).  Where only equality
-is asked, `braid_key` gives a canonical hashable key instead: the braid's
-Dynnikov coordinates.
+makes the order total, left-invariant, and compatible with equality.
+Equality alone needs less: the quotient is trivial iff any conjugate of it
+is, so `braid_equal` strips the outer pairs x … x⁻¹ off the freely reduced
+quotient and reduces only that core (w1 = w2 iff the core reduces to the
+empty word).  Conjugation changes σ-signs (σ1σ2⁻¹ is σ-positive, its
+conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so the order reduces the whole
+quotient.  Where a hashable key is wanted, `braid_key` gives one: the
+braid's Dynnikov coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
@@ -149,7 +153,7 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
 
 def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
     """LESS/EQUAL/GREATER in the total order: w1 < w2 iff w1⁻¹w2 is σ-positive."""
-    r = handle_reduce(free_reduce(inverse(w1) + tuple(w2)))
+    r = handle_reduce(inverse(w1) + tuple(w2))
     if not r:
         return EQUAL
     m = min(abs(x) for x in r)
@@ -158,7 +162,20 @@ def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    return braid_compare(w1, w2) == EQUAL
+    """Whether w1 and w2 are the same braid.
+
+    Strips every outer pair q[i] = q[j]⁻¹ off the free reduction q of
+    w1⁻¹w2, so q = u·c·u⁻¹, and handle-reduces only the core c, which is
+    trivial iff q is.  Words with a long common suffix (a left comb's
+    sh(L)⁻¹) leave half their quotient in u.  `braid_compare` keeps the
+    whole quotient: conjugation changes σ-signs.
+    """
+    q = free_reduce(inverse(w1) + tuple(w2))
+    i, j = 0, len(q)
+    while i < j and q[i] == -q[j - 1]:
+        i += 1
+        j -= 1
+    return not handle_reduce(q[i:j])
 
 
 def braid_key(w: BraidWord) -> tuple[int, ...]:
@@ -180,8 +197,9 @@ def braid_key(w: BraidWord) -> tuple[int, ...]:
     (Dehornoy, "Efficient solutions to the braid isotopy problem", Discrete
     Appl. Math. 156, 2008).  The loop splits on
     the sign of z instead of calling max/min, which makes it several times
-    faster.  Coordinates grow with the word, so order stays with handle
-    reduction.
+    faster.  Coordinates grow with the word, so the key costs time
+    quadratic in its length: order, and `braid_equal` on a single pair,
+    stay with handle reduction.
     """
     c = [0, 1] * (max(map(abs, w), default=0) + 1)
     for x in w:

@@ -8,17 +8,21 @@ closure of any braid under * is a free LD-system of rank one), and the
 s ⊏ t forcing s < t.
 
 `decide_ld_bounded` is the one entry point for LD-equality: it answers a
-one-variable pair by that total decision, EQUAL or NOT_EQUAL whatever the
-caps, and `ld_class_key` is the matching class key.  For terms with several
-variables only a bounded semi-decision is available here.  NOT_EQUAL comes
-from three sound tests: LD steps preserve the set of variables occurring and
-the rightmost variable (though not variable multiplicities), and the
-assignment x_i ↦ x extends to an LD-homomorphism, so terms whose
-one-variable projections the total decision tells apart are LD-inequivalent
-(Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL comes only from a
-breadth-first closure under single LD steps, capped in term size and in
-expansion count; a pair that passes the three tests and whose closure misses
-the other term within the caps is UNKNOWN.
+one-variable pair by equality of the two evaluations (`braid_equal`, which
+reduces only a conjugate of their quotient), EQUAL or NOT_EQUAL whatever
+the caps, and `ld_class_key` is the matching class key.  The three-way
+comparison `decide_ld_1var` reduces the whole quotient: conjugation keeps
+triviality but not the σ-sign the order is read from.
+
+For terms with several variables only a bounded semi-decision is available
+here.  NOT_EQUAL comes from three sound tests: LD steps preserve the set of
+variables occurring and the rightmost variable (though not variable
+multiplicities), and the assignment x_i ↦ x extends to an LD-homomorphism,
+so terms whose one-variable projections the total decision tells apart are
+LD-inequivalent (Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL
+comes only from a breadth-first closure under single LD steps, capped in
+term size and in expansion count; a pair that passes the three tests and
+whose closure misses the other term within the caps is UNKNOWN.
 
 No braid word longer than `pbwords.MAX_WORD_LETTERS` is built (a left comb
 of n leaves evaluates to 2^(n-1) - 1 letters): the one-variable decision
@@ -30,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .braids import LESS, BraidWord, braid_compare, braid_key, eval_star_braid
+from .braids import LESS, BraidWord, braid_compare, braid_equal, braid_key, eval_star_braid
 from .pbwords import MAX_WORD_LETTERS, check_word_length, pb_term_length
 from .terms import (
     LD,
@@ -150,11 +154,11 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
     """Decision of s =_LD t for *-terms, total on one variable, bounded otherwise.
 
     NOT_EQUAL when the variable sets or the rightmost variables differ; a
-    one-variable pair is then EQUAL or NOT_EQUAL by `decide_ld_1var`,
-    whatever the caps.  Otherwise NOT_EQUAL when the x_i ↦ x projections are
-    LD-inequivalent (a test skipped when a projection's braid word would
-    exceed the cap), EQUAL when a rewriting path within the caps connects
-    the terms, and UNKNOWN when none does.
+    one-variable pair is then EQUAL or NOT_EQUAL by `braid_equal` on the two
+    evaluations, whatever the caps.  Otherwise NOT_EQUAL when the x_i ↦ x
+    projections are LD-inequivalent (a test skipped when a projection's
+    braid word would exceed the cap), EQUAL when a rewriting path within the
+    caps connects the terms, and UNKNOWN when none does.
     """
     _require_star(s)
     _require_star(t)
@@ -163,7 +167,8 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
     if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
         return Verdict.NOT_EQUAL
     if is_one_variable(s):
-        return Verdict.EQUAL if decide_ld_1var(s, t) == 0 else Verdict.NOT_EQUAL
+        equal = braid_equal(_star_braid(s), _star_braid(t))
+        return Verdict.EQUAL if equal else Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)
     elif size_cap < max(size(s), size(t)):

@@ -27,6 +27,9 @@ from the variable-set and rightmost-variable filters, EQUAL only from
 `ld_closure`, which it shares with the decision under test.
 `recursive_variables`, `recursive_uses_only` and `recursive_is_special` walk
 the whole term, where the package reads facts cached on each node.
+`quotient_braid_equal` reads braid equality off the three-way order, which
+handle-reduces the whole quotient w1⁻¹w2, where `braid_equal` reduces only
+its core with the outer conjugating pairs stripped.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from aldbraid.braids import braid_compare, eval_star_braid, free_reduce, handle_reduce
+from aldbraid.braids import EQUAL, braid_compare, eval_star_braid, free_reduce, handle_reduce
 from aldbraid.diagrams import (
     PBDiagram,
     add_caret,
@@ -147,6 +150,12 @@ def relation_closure(max_index: int = 3, cap: int = 8):
         return find(offset[len(w)] + plain)
 
     return root_of
+
+
+def quotient_braid_equal(w1, w2) -> bool:
+    """Braid equality as the order's EQUAL: the whole quotient w1⁻¹w2
+    handle-reduces to the empty word."""
+    return braid_compare(w1, w2) == EQUAL
 
 
 class BraidClassIndex:

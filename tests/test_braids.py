@@ -24,6 +24,7 @@ from aldbraid.braids import (
     render_braid,
 )
 from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
+from oracles import quotient_braid_equal
 
 B = parse_braid
 
@@ -78,6 +79,63 @@ def test_braid_equal_examples():
     # distinct permutations, hence distinct braids
     assert permutation(B("s1"), 3) != permutation(B("s2"), 3)
     assert not braid_equal(B("s1"), B("s2"))
+
+
+def test_braid_equal_matches_the_whole_quotient_oracle():
+    rng = random.Random(97)
+    verdicts = []
+    for _ in range(400):
+        w = random_word(rng, rng.randint(0, 40))
+        u = random_word(rng, rng.randint(0, 40))
+        v = random_word(rng, rng.randint(0, 40))
+        conj = u + w + inverse(u)
+        pairs = [
+            (w, v),
+            (w, conj),
+            (conj, v),
+            (conj, u + _equal_variant(rng, w) + inverse(u)),
+            (w + inverse(w), ()),
+            (u, w + inverse(w) + u),
+        ]
+        for a, b in pairs:
+            same = braid_equal(a, b)
+            assert same == quotient_braid_equal(a, b), (a, b)
+            verdicts.append(same)
+    assert 400 < sum(verdicts) < len(verdicts) - 400
+
+
+def test_braid_equal_on_left_comb_expansions():
+    # L * (a * b) against its root LD-expansion (L * a) * (L * b), which is
+    # LD-equal, and against (L * a) * (L * (b * x)), which is not: both
+    # quotients start and end in a conjugating pair, so the stripping fires
+    # on both verdicts
+    b = X
+    comb = X
+    for n in range(2, 14):
+        comb = Compound(STAR, comb, X)  # n leaves
+        for a in map(parse_term, ("x", "x*x", "(x*x)*x", "x*(x*x)")):
+            lhs = eval_star_braid(Compound(STAR, comb, Compound(STAR, a, b)), ())
+            left = Compound(STAR, comb, a)
+            for right, equal in ((Compound(STAR, comb, b), True),
+                                 (Compound(STAR, comb, Compound(STAR, b, X)), False)):
+                rhs = eval_star_braid(Compound(STAR, left, right), ())
+                q = free_reduce(inverse(lhs) + rhs)
+                assert q[0] == -q[-1]
+                assert braid_equal(lhs, rhs) == quotient_braid_equal(lhs, rhs) == equal
+
+
+def test_order_reads_the_whole_quotient():
+    # σ1σ2⁻¹ is σ-positive and its conjugate σ1·σ1σ2⁻¹·σ1⁻¹ is σ-negative:
+    # the order cannot reduce a conjugate of the quotient, equality can
+    w = B("s1 S2")
+    conj = B("s1") + w + B("S1")
+    assert braid_compare((), w) == LESS
+    assert braid_compare((), conj) == GREATER
+    assert braid_compare(w, ()) == GREATER
+    assert braid_compare(conj, ()) == LESS
+    assert not braid_equal((), w)
+    assert not braid_equal((), conj)
+    assert not braid_equal(w, conj)
 
 
 def test_braid_compare_examples():
