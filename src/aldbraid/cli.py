@@ -52,6 +52,7 @@ from .pbwords import (
     render_pb,
 )
 from .terms import (
+    MAX_DEPTH,
     ParseError,
     circ_cmp,
     decompose_special,
@@ -70,6 +71,11 @@ EX_USAGE = 64
 
 DEFAULT_GAMMAS = ("", "s1", "a1", "s1 a2")
 
+#: Largest term size a freeness scan accepts.  Size 10 has 2^9·C9 = 2,489,344
+#: terms, projected from the size-9 run at about 6.7 GiB and 15 minutes per
+#: word; size 11 has 2^10·C10 = 17,199,104, about seven times as many.
+MAX_SCAN_SIZE = 10
+
 
 @dataclass
 class ExperimentConfig:
@@ -80,11 +86,13 @@ class ExperimentConfig:
     relation_index_cap: int = 5
 
     def __post_init__(self):
-        if self.max_term_size < 1:
-            raise ValueError("max_term_size must be >= 1")
-        # one relation needs two indices, and the audit always uses two fixed z-samples
-        if self.relation_index_cap < 2:
-            raise ValueError("relation_index_cap must be >= 2")
+        if not 1 <= self.max_term_size <= MAX_SCAN_SIZE:
+            raise ValueError(f"max_term_size must be between 1 and {MAX_SCAN_SIZE}")
+        # one relation needs two indices, and the audit always uses two fixed
+        # z-samples; the shift relations at index i use the letter i + 1, and
+        # the diagram of letter k has a comb of k + 2 leaves
+        if not 2 <= self.relation_index_cap <= MAX_DEPTH - 3:
+            raise ValueError(f"relation_index_cap must be between 2 and {MAX_DEPTH - 3}")
         if self.z_sample_count < 2:
             raise ValueError("z_sample_count must be >= 2")
 

@@ -56,27 +56,24 @@ def tree_pattern(t: Term) -> str:
 
 
 def parse_tree_pattern(text: str) -> Term:
-    pos = 0
-
-    def node() -> Term:
-        nonlocal pos
-        if pos < len(text) and text[pos] == "x":
-            pos += 1
-            return X
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            left = node()
-            right = node()
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"expected ')' at {pos} in {text!r}")
-            pos += 1
-            return Compound(CIRC, left, right)
-        raise ValueError(f"bad tree pattern at {pos} in {text!r}")
-
-    t = node()
+    t, pos = _tree_node(text, 0)
     if pos != len(text):
         raise ValueError(f"trailing input at {pos} in {text!r}")
     return t
+
+
+def _tree_node(text: str, pos: int) -> tuple[Term, int]:
+    """The tree starting at pos, and the position after it; a module-level
+    function, as are the tree walks below."""
+    if pos < len(text) and text[pos] == "x":
+        return X, pos + 1
+    if pos < len(text) and text[pos] == "(":
+        left, pos = _tree_node(text, pos + 1)
+        right, pos = _tree_node(text, pos)
+        if pos >= len(text) or text[pos] != ")":
+            raise ValueError(f"expected ')' at {pos} in {text!r}")
+        return Compound(CIRC, left, right), pos + 1
+    raise ValueError(f"bad tree pattern at {pos} in {text!r}")
 
 
 #: Entries each node-keyed tree cache keeps.  Trees are interned terms, so a

@@ -93,36 +93,40 @@ def derive_special(t: Term) -> list[LawInstance]:
     expansion when u splits, and nothing at all when both are leaves.
     """
     steps: list[LawInstance] = []
-
-    def star_steps(u: Term, s: TermSeq, v: Term, w: TermSeq, pos: Position) -> None:
-        # current subterm at pos: u[s] * v[w]; rewrite it to v[s ⃗* w]
-        if isinstance(v, Compound):
-            r = size(v.left)
-            steps.append(LawInstance(ALD2, pos, EXPAND))
-            star_steps(u, s, v.left, w[:r], pos + ("L",))
-            star_steps(u, s, v.right, w[r:], pos + ("R",))
-        elif isinstance(u, Compound):
-            r = size(u.left)
-            steps.append(LawInstance(ALD1, pos, EXPAND))
-            star_steps(u.right, s[r:], v, w, pos + ("R",))
-            star_steps(u.left, s[:r], v, seq_star(s[r:], w), pos)
-        # both skeletons are leaves: s1 * w1 is already v[s ⃗* w]
-
-    def go(node: Term, pos: Position) -> None:
-        if isinstance(node, Variable):
-            return
-        go(node.left, pos + ("L",))
-        go(node.right, pos + ("R",))
-        if node.op == STAR:
-            star_steps(
-                inv_I(node.left), inv_J(node.left),
-                inv_I(node.right), inv_J(node.right),
-                pos,
-            )
-        # a ∘ over special forms is already special
-
-    go(t, ())
+    _special_steps(t, (), steps)
     return steps
+
+
+# The two recursive walks of derive_special are module-level functions, not
+# nested closures: a closure that calls itself is a reference cycle on every
+# call.
+def _special_steps(node: Term, pos: Position, steps: list) -> None:
+    if isinstance(node, Variable):
+        return
+    _special_steps(node.left, pos + ("L",), steps)
+    _special_steps(node.right, pos + ("R",), steps)
+    if node.op == STAR:
+        _star_steps(
+            inv_I(node.left), inv_J(node.left),
+            inv_I(node.right), inv_J(node.right),
+            pos, steps,
+        )
+    # a ∘ over special forms is already special
+
+
+def _star_steps(u: Term, s: TermSeq, v: Term, w: TermSeq, pos: Position, steps: list) -> None:
+    # current subterm at pos: u[s] * v[w]; rewrite it to v[s ⃗* w]
+    if isinstance(v, Compound):
+        r = size(v.left)
+        steps.append(LawInstance(ALD2, pos, EXPAND))
+        _star_steps(u, s, v.left, w[:r], pos + ("L",), steps)
+        _star_steps(u, s, v.right, w[r:], pos + ("R",), steps)
+    elif isinstance(u, Compound):
+        r = size(u.left)
+        steps.append(LawInstance(ALD1, pos, EXPAND))
+        _star_steps(u.right, s[r:], v, w, pos + ("R",), steps)
+        _star_steps(u.left, s[:r], v, seq_star(s[r:], w), pos, steps)
+    # both skeletons are leaves: s1 * w1 is already v[s ⃗* w]
 
 
 def replay(t: Term, steps: list[LawInstance]) -> Term:

@@ -159,7 +159,7 @@ class LawInstance:
     direction: str
 
     def __post_init__(self):
-        if self.law not in (LD, ALD1, ALD2):
+        if self.law not in _LAWS:
             raise ValueError(f"unknown law {self.law!r}")
         if self.direction not in (EXPAND, CONTRACT):
             raise ValueError(f"unknown direction {self.direction!r}")
@@ -188,7 +188,8 @@ class ParseError(ValueError):
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Return (kind, value, position) triples; kind is one of x ( ) * o."""
+    """Return (kind, value, position) triples; kind is one of x ( ) * o, and
+    a last token of kind "" marks the end of the text."""
     tokens = []
     i = 0
     while i < len(text):
@@ -215,52 +216,44 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("", 0, len(text)))
     return tokens
 
 
 def parse_term(text: str) -> Term:
     """Parse a term; raises ParseError with a position on malformed input."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def where() -> int:
-        return tokens[pos][2] if pos < len(tokens) else len(text)
-
-    def primary(depth: int) -> Term:
-        nonlocal pos
-        kind = peek()
-        if kind == "x":
-            t = Variable(tokens[pos][1])
-            pos += 1
-            return t
-        if kind == "(":
-            pos += 1
-            t = expr(depth + 1)
-            if peek() != ")":
-                raise ParseError("expected ')'", where())
-            pos += 1
-            return t
-        raise ParseError("expected a term", where())
-
-    def expr(depth: int) -> Term:
-        nonlocal pos
-        if depth > MAX_DEPTH:
-            raise ParseError(f"term nested deeper than {MAX_DEPTH}", where())
-        left = primary(depth)
-        if peek() in (STAR, CIRC):
-            op = peek()
-            pos += 1
-            right = expr(depth + 1)  # right-associative, equal precedence
-            return Compound(op, left, right)
-        return left
-
-    result = expr(0)
-    if pos != len(tokens):
-        raise ParseError("trailing input", where())
+    result, pos = _parse_expr(tokens, 0, 0)
+    if tokens[pos][0]:
+        raise ParseError("trailing input", tokens[pos][2])
     return result
+
+
+# The parser's helpers are module-level functions that pass the token index
+# along, as are the other recursive helpers: a nested closure that calls
+# itself is a reference cycle on every call.
+def _parse_expr(tokens: list, pos: int, depth: int) -> tuple[Term, int]:
+    """The term starting at token pos, and the index of the token after it."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"term nested deeper than {MAX_DEPTH}", tokens[pos][2])
+    left, pos = _parse_primary(tokens, pos, depth)
+    op = tokens[pos][0]
+    if op in (STAR, CIRC):
+        right, pos = _parse_expr(tokens, pos + 1, depth + 1)  # right-associative, equal precedence
+        return Compound(op, left, right), pos
+    return left, pos
+
+
+def _parse_primary(tokens: list, pos: int, depth: int) -> tuple[Term, int]:
+    kind, index, where = tokens[pos]
+    if kind == "x":
+        return Variable(index), pos + 1
+    if kind == "(":
+        t, pos = _parse_expr(tokens, pos + 1, depth + 1)
+        if tokens[pos][0] != ")":
+            raise ParseError("expected ')'", tokens[pos][2])
+        return t, pos + 1
+    raise ParseError("expected a term", where)
 
 
 def render_term(t: Term) -> str:
@@ -492,104 +485,75 @@ class LawApplicationError(ValueError):
     """The law's source pattern does not match at the given position."""
 
 
-def _rewrite_redex(t: Term, law: str, direction: str) -> Term | None:
-    """The rewritten redex, or None when the law's source pattern does not match."""
-    if direction == EXPAND:
-        if law == LD:
-            # t1*(t2*t3) -> (t1*t2)*(t1*t3)
-            if (
-                isinstance(t, Compound)
-                and t.op == STAR
-                and isinstance(t.right, Compound)
-                and t.right.op == STAR
-            ):
-                t1, t2, t3 = t.left, t.right.left, t.right.right
-                return Compound(STAR, Compound(STAR, t1, t2), Compound(STAR, t1, t3))
-        elif law == ALD1:
-            # (t1∘t2)*t3 -> t1*(t2*t3)
-            if (
-                isinstance(t, Compound)
-                and t.op == STAR
-                and isinstance(t.left, Compound)
-                and t.left.op == CIRC
-            ):
-                t1, t2, t3 = t.left.left, t.left.right, t.right
-                return Compound(STAR, t1, Compound(STAR, t2, t3))
-        else:
-            # t1*(t2∘t3) -> (t1*t2)∘(t1*t3)
-            if (
-                isinstance(t, Compound)
-                and t.op == STAR
-                and isinstance(t.right, Compound)
-                and t.right.op == CIRC
-            ):
-                t1, t2, t3 = t.left, t.right.left, t.right.right
-                return Compound(CIRC, Compound(STAR, t1, t2), Compound(STAR, t1, t3))
-    else:
-        if law == LD:
-            # (t1*t2)*(t1*t3) -> t1*(t2*t3), requiring the two t1 copies equal
-            if (
-                isinstance(t, Compound)
-                and t.op == STAR
-                and isinstance(t.left, Compound)
-                and t.left.op == STAR
-                and isinstance(t.right, Compound)
-                and t.right.op == STAR
-                and t.left.left == t.right.left
-            ):
-                t1, t2, t3 = t.left.left, t.left.right, t.right.right
-                return Compound(STAR, t1, Compound(STAR, t2, t3))
-        elif law == ALD1:
-            # t1*(t2*t3) -> (t1∘t2)*t3
-            if (
-                isinstance(t, Compound)
-                and t.op == STAR
-                and isinstance(t.right, Compound)
-                and t.right.op == STAR
-            ):
-                t1, t2, t3 = t.left, t.right.left, t.right.right
-                return Compound(STAR, Compound(CIRC, t1, t2), t3)
-        else:
-            # (t1*t2)∘(t1*t3) -> t1*(t2∘t3)
-            if (
-                isinstance(t, Compound)
-                and t.op == CIRC
-                and isinstance(t.left, Compound)
-                and t.left.op == STAR
-                and isinstance(t.right, Compound)
-                and t.right.op == STAR
-                and t.left.left == t.right.left
-            ):
-                t1, t2, t3 = t.left.left, t.left.right, t.right.right
-                return Compound(STAR, t1, Compound(CIRC, t2, t3))
-    return None
+#: Each law once, as a pair of patterns: the contracted side and the expanded
+#: side.  A pattern is an (op, left, right) triple or an int, the pattern
+#: variable t1, t2 or t3.  EXPAND rewrites the contracted side into the
+#: expanded one, and CONTRACT the expanded side into the contracted one.
+_LAWS = {
+    LD: ((STAR, 1, (STAR, 2, 3)), (STAR, (STAR, 1, 2), (STAR, 1, 3))),
+    ALD1: ((STAR, (CIRC, 1, 2), 3), (STAR, 1, (STAR, 2, 3))),
+    ALD2: ((STAR, 1, (CIRC, 2, 3)), (CIRC, (STAR, 1, 2), (STAR, 1, 3))),
+}
+
+
+def _match(pattern, node: Term, binding: dict) -> bool:
+    """Whether node matches pattern, binding its variables in binding.  A
+    repeated variable must bind the same node: terms are interned, so equal
+    subterms are one object."""
+    if isinstance(pattern, int):
+        return binding.setdefault(pattern, node) is node
+    return (
+        isinstance(node, Compound)
+        and node.op == pattern[0]
+        and _match(pattern[1], node.left, binding)
+        and _match(pattern[2], node.right, binding)
+    )
+
+
+def _build(pattern, binding: dict) -> Term:
+    if isinstance(pattern, int):
+        return binding[pattern]
+    return Compound(pattern[0], _build(pattern[1], binding), _build(pattern[2], binding))
 
 
 def apply_law(t: Term, inst: LawInstance) -> Term:
     """One rewriting step at inst.pos; raises LawApplicationError on mismatch."""
     redex = subterm_at(t, inst.pos)
-    new = _rewrite_redex(redex, inst.law, inst.direction)
-    if new is None:
+    source, target = _LAWS[inst.law]
+    if inst.direction == CONTRACT:
+        source, target = target, source
+    binding: dict = {}
+    if not _match(source, redex, binding):
         law = f"{inst.law}/{inst.direction}"
         raise LawApplicationError(f"{law} does not match {render_term(redex)}")
-    return replace_at(t, inst.pos, new)
+    return replace_at(t, inst.pos, _build(target, binding))
 
 
 def law_instances(t: Term, laws: Iterable[str] = (LD, ALD1, ALD2)) -> Iterator[LawInstance]:
-    """All law instances applicable somewhere in t, root first."""
-    laws = tuple(laws)
+    """All law instances applicable somewhere in t: root first, the left
+    subtree before the right, and at each node the laws in the order given,
+    EXPAND before CONTRACT.  Raises ValueError on an unknown law name."""
+    sources = []
+    for law in laws:
+        if law not in _LAWS:
+            raise ValueError(f"unknown law {law!r}")
+        contracted, expanded = _LAWS[law]
+        sources += ((law, EXPAND, contracted), (law, CONTRACT, expanded))
+    return _instances(t, sources)
 
-    def walk(node: Term, pos: Position) -> Iterator[LawInstance]:
-        if not isinstance(node, Compound):
-            return
-        for law in laws:
-            for direction in (EXPAND, CONTRACT):
-                if _rewrite_redex(node, law, direction) is not None:
-                    yield LawInstance(law, pos, direction)
-        yield from walk(node.left, pos + ("L",))
-        yield from walk(node.right, pos + ("R",))
 
-    return walk(t, ())
+def _instances(t: Term, sources: list) -> Iterator[LawInstance]:
+    stack = [(t, ())] if isinstance(t, Compound) else []
+    while stack:
+        node, pos = stack.pop()
+        for law, direction, source in sources:
+            if _match(source, node, {}):
+                yield LawInstance(law, pos, direction)
+        # right first, so that the whole left subtree comes off the stack before it
+        if isinstance(node.right, Compound):
+            stack.append((node.right, pos + ("R",)))
+        if isinstance(node.left, Compound):
+            stack.append((node.left, pos + ("L",)))
 
 
 # ---------------------------------------------------------------------------

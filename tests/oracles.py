@@ -30,6 +30,10 @@ the whole term, where the package reads facts cached on each node.
 `quotient_braid_equal` reads braid equality off the three-way order, which
 handle-reduces the whole quotient w1⁻¹w2, where `braid_equal` reduces only
 its core with the outer conjugating pairs stripped.
+`rewrite_redex` writes each law and direction out as its own `isinstance`
+branch, and `redex_law_instances` finds an instance by building the
+rewritten redex, where `apply_law` and `law_instances` match one table of
+patterns.
 """
 
 from __future__ import annotations
@@ -57,14 +61,25 @@ from aldbraid.invariants import inv_I, inv_J
 from aldbraid.ldoracle import DEFAULT_STEP_CAP, Verdict, default_size_cap, ld_closure
 from aldbraid.pbwords import render_pb
 from aldbraid.terms import (
+    ALD1,
+    ALD2,
+    CIRC,
+    CONTRACT,
+    EXPAND,
+    LD,
+    STAR,
     Compound,
+    LawApplicationError,
+    LawInstance,
     Variable,
     circ_cmp,
     decompose_special,
     enumerate_terms,
     render_term,
+    replace_at,
     rightmost_variable,
     seq_sq,
+    subterm_at,
 )
 
 
@@ -429,3 +444,104 @@ def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Ve
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL
     return Verdict.UNKNOWN
+
+
+def rewrite_redex(t, law, direction):
+    """The rewritten redex, or None when the law's source pattern does not match."""
+    if direction == EXPAND:
+        if law == LD:
+            # t1*(t2*t3) -> (t1*t2)*(t1*t3)
+            if (
+                isinstance(t, Compound)
+                and t.op == STAR
+                and isinstance(t.right, Compound)
+                and t.right.op == STAR
+            ):
+                t1, t2, t3 = t.left, t.right.left, t.right.right
+                return Compound(STAR, Compound(STAR, t1, t2), Compound(STAR, t1, t3))
+        elif law == ALD1:
+            # (t1∘t2)*t3 -> t1*(t2*t3)
+            if (
+                isinstance(t, Compound)
+                and t.op == STAR
+                and isinstance(t.left, Compound)
+                and t.left.op == CIRC
+            ):
+                t1, t2, t3 = t.left.left, t.left.right, t.right
+                return Compound(STAR, t1, Compound(STAR, t2, t3))
+        else:
+            # t1*(t2∘t3) -> (t1*t2)∘(t1*t3)
+            if (
+                isinstance(t, Compound)
+                and t.op == STAR
+                and isinstance(t.right, Compound)
+                and t.right.op == CIRC
+            ):
+                t1, t2, t3 = t.left, t.right.left, t.right.right
+                return Compound(CIRC, Compound(STAR, t1, t2), Compound(STAR, t1, t3))
+    else:
+        if law == LD:
+            # (t1*t2)*(t1*t3) -> t1*(t2*t3), requiring the two t1 copies equal
+            if (
+                isinstance(t, Compound)
+                and t.op == STAR
+                and isinstance(t.left, Compound)
+                and t.left.op == STAR
+                and isinstance(t.right, Compound)
+                and t.right.op == STAR
+                and t.left.left == t.right.left
+            ):
+                t1, t2, t3 = t.left.left, t.left.right, t.right.right
+                return Compound(STAR, t1, Compound(STAR, t2, t3))
+        elif law == ALD1:
+            # t1*(t2*t3) -> (t1∘t2)*t3
+            if (
+                isinstance(t, Compound)
+                and t.op == STAR
+                and isinstance(t.right, Compound)
+                and t.right.op == STAR
+            ):
+                t1, t2, t3 = t.left, t.right.left, t.right.right
+                return Compound(STAR, Compound(CIRC, t1, t2), t3)
+        else:
+            # (t1*t2)∘(t1*t3) -> t1*(t2∘t3)
+            if (
+                isinstance(t, Compound)
+                and t.op == CIRC
+                and isinstance(t.left, Compound)
+                and t.left.op == STAR
+                and isinstance(t.right, Compound)
+                and t.right.op == STAR
+                and t.left.left == t.right.left
+            ):
+                t1, t2, t3 = t.left.left, t.left.right, t.right.right
+                return Compound(STAR, t1, Compound(CIRC, t2, t3))
+    return None
+
+
+def redex_apply_law(t, inst):
+    """`apply_law` through `rewrite_redex`."""
+    redex = subterm_at(t, inst.pos)
+    new = rewrite_redex(redex, inst.law, inst.direction)
+    if new is None:
+        law = f"{inst.law}/{inst.direction}"
+        raise LawApplicationError(f"{law} does not match {render_term(redex)}")
+    return replace_at(t, inst.pos, new)
+
+
+def redex_law_instances(t, laws=(LD, ALD1, ALD2)) -> list:
+    """`law_instances` through `rewrite_redex`, root first, left before right."""
+    found = []
+    _collect_instances(t, (), tuple(laws), found)
+    return found
+
+
+def _collect_instances(node, pos, laws, found) -> None:
+    if not isinstance(node, Compound):
+        return
+    for law in laws:
+        for direction in (EXPAND, CONTRACT):
+            if rewrite_redex(node, law, direction) is not None:
+                found.append(LawInstance(law, pos, direction))
+    _collect_instances(node.left, pos + ("L",), laws, found)
+    _collect_instances(node.right, pos + ("R",), laws, found)

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from aldbraid.cli import ExperimentConfig, freeness_scan, main
-from aldbraid.diagrams import diagram_eval_term, gen_sigma, identity_diagram
-from aldbraid.pbwords import MAX_WORD_LETTERS
+from aldbraid.cli import MAX_SCAN_SIZE, ExperimentConfig, freeness_scan, main
+from aldbraid.diagrams import diagram_eval_term, gen_a, gen_sigma, identity_diagram
+from aldbraid.pbwords import MAX_WORD_LETTERS, relation_instances
 from aldbraid.terms import MAX_DEPTH, enumerate_terms
 from oracles import pairwise_freeness_scan
 
@@ -225,15 +225,39 @@ def test_verify_relations(capsys):
 
 def test_verify_relations_rejects_vacuous_configs(capsys):
     # fewer than two indices checks no defining relation; fewer than two
-    # samples would be silently raised to the two fixed ones
-    for argv in (["--max-index", "0"], ["--max-index", "1"], ["--samples", "1"]):
-        code, out, err = run(capsys, "verify-relations", *argv)
+    # samples would be silently raised to the two fixed ones; an index whose
+    # shift relation needs a letter the diagram model refuses, or a scan
+    # size past MAX_SCAN_SIZE, would first build a runaway number of
+    # relations or terms
+    too_deep = str(MAX_DEPTH - 2)
+    for command, *argv in (
+        ["verify-relations", "--max-index", "0"],
+        ["verify-relations", "--max-index", "1"],
+        ["verify-relations", "--samples", "1"],
+        ["verify-relations", "--max-index", too_deep],
+        ["verify-relations", "--max-index", "1000000"],
+        ["freeness-scan", "--max-size", str(MAX_SCAN_SIZE + 1)],
+        ["freeness-scan", "--max-size", "0"],
+    ):
+        code, out, err = run(capsys, command, *argv)
         assert code == 64, argv
         assert out == "" and "error" in err
+    for bad in (
+        dict(relation_index_cap=1),
+        dict(relation_index_cap=MAX_DEPTH - 2),
+        dict(z_sample_count=1),
+        dict(max_term_size=MAX_SCAN_SIZE + 1),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    ExperimentConfig(relation_index_cap=MAX_DEPTH - 3, max_term_size=MAX_SCAN_SIZE)
+    # the largest cap's shift relations use the largest letter the model takes
+    rels = relation_instances(MAX_DEPTH - 3)
+    top = max(index for rel in rels for _, index in rel.lhs + rel.rhs)
+    assert top == MAX_DEPTH - 2
+    gen_sigma(top), gen_a(top)
     with pytest.raises(ValueError):
-        ExperimentConfig(relation_index_cap=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(z_sample_count=1)
+        gen_sigma(top + 1)
 
 
 def test_freeness_scan_small(capsys):

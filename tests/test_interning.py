@@ -7,7 +7,7 @@ import types
 
 from aldbraid import diagrams, terms
 from aldbraid.diagrams import diagram_eval_term, word_to_diagram
-from aldbraid.invariants import inv_I, inv_J
+from aldbraid.invariants import derive_special, inv_I, inv_J
 from aldbraid.pbwords import parse_pb
 from aldbraid.terms import (
     STAR,
@@ -15,6 +15,7 @@ from aldbraid.terms import (
     X,
     decompose_special,
     enumerate_terms,
+    law_instances,
     parse_term,
     random_term,
     render_term,
@@ -151,6 +152,10 @@ def test_recursive_helpers_leave_no_reference_cycles():
         diagrams._leaf_subtrees(skeleton, special)
         diagrams.sibling_leaf_pairs(special)
         diagrams.collapse_caret(skeleton, 3)
+        diagrams.parse_tree_pattern("((xx)(xx))")
+        parse_term("x1*((x2*x3) o x4)")
+        derive_special(Compound(STAR, special, special))
+        list(law_instances(Compound(STAR, X, special)))
         gc.collect()
         leaked = [
             obj.__qualname__

@@ -39,7 +39,14 @@ from aldbraid.terms import (
     variables,
     x_power,
 )
-from oracles import recursive_is_special, recursive_uses_only, recursive_variables
+from aldbraid.ldoracle import ld_closure
+from oracles import (
+    recursive_is_special,
+    recursive_uses_only,
+    recursive_variables,
+    redex_apply_law,
+    redex_law_instances,
+)
 
 T = parse_term
 
@@ -283,6 +290,41 @@ def test_steps_off_rightmost_branch_preserve_ht_r():
         inst = rng.choice(insts)
         assert ht_r(apply_law(t, inst)) == ht_r(t)
         checked += 1
+
+
+def test_law_table_matches_hand_written_redex_rewrite():
+    # every 2-variable term of size <= 5 and a seeded batch of 3-variable
+    # terms: the same instances in the same order, the same rewritten term,
+    # and the same error on each root step that does not match
+    ts = list(enumerate_terms(2, "*o", 5))
+    rng = random.Random(14)
+    ts += [random_term(rng, rng.randint(6, 12), n_vars=3) for _ in range(1000)]
+    root_steps = [LawInstance(law, (), d) for law in (LD, ALD1, ALD2) for d in (EXPAND, CONTRACT)]
+    for laws in ((LD, ALD1, ALD2), (LD,)):
+        for t in ts:
+            insts = list(law_instances(t, laws))
+            assert insts == redex_law_instances(t, laws), render_term(t)
+            for inst in insts:
+                assert apply_law(t, inst) is redex_apply_law(t, inst)
+    for t in ts[::4]:
+        for inst in root_steps:
+            assert _outcome(apply_law, t, inst) == _outcome(redex_apply_law, t, inst)
+
+
+def _outcome(apply, t, inst):
+    """The rewritten term, or the message of the mismatch error."""
+    try:
+        return apply(t, inst)
+    except LawApplicationError as err:
+        return str(err)
+
+
+def test_unknown_law_name_is_rejected():
+    for t in (T("x o x"), T("x*(x o x)")):
+        with pytest.raises(ValueError, match="bogus"):
+            law_instances(t, laws=("bogus",))
+        with pytest.raises(ValueError, match="bogus"):
+            ld_closure(t, size(t), laws=(LD, "bogus"))
 
 
 # ---------------------------------------------------------------------------
