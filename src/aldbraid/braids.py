@@ -11,16 +11,21 @@ no letter of index <= i.  Reducing it conjugates the interior through σ_i^e:
 each σ_{i+1}^d becomes σ_{i+1}^{-e} σ_i^d σ_{i+1}^e, letters of index >= i+2
 pass through unchanged, and the two σ_i letters vanish.  Every reduction
 sequence terminates, and a handle-free word is empty or has its lowest-index
-generator occurring with a single sign (σ-positive or σ-negative).  That sign
-decides the order: w1 < w2 iff w1⁻¹ w2 reduces to a σ-positive word, which
-makes the order total, left-invariant, and compatible with equality.
-Equality alone needs less: the quotient is trivial iff any conjugate of it
-is, so `braid_equal` strips the outer pairs x … x⁻¹ off the freely reduced
-quotient and reduces only that core (w1 = w2 iff the core reduces to the
-empty word).  Conjugation changes σ-signs (σ1σ2⁻¹ is σ-positive, its
-conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so the order reduces the whole
-quotient.  Where a hashable key is wanted, `braid_key` gives one: the
-braid's Dynnikov coordinates.
+generator occurring with a single sign (σ-positive or σ-negative).
+`handle_reduce` always reduces the leftmost-closing handle, in one
+left-to-right stack pass that puts each rewritten interior back onto the
+letters still to read, so no reduction moves the rest of the word.
+The sign of a handle-free word decides the order: w1 < w2 iff w1⁻¹ w2
+reduces to a σ-positive word, which makes the order total, left-invariant,
+and compatible with equality.  A common prefix p of w1 = p·r1 and w2 = p·r2
+cancels from the quotient.  Equality alone needs less: p·r1·s = p·r2·s iff
+r1 = r2, so `braid_equal` cancels the common suffix too, and the quotient
+is trivial iff any conjugate of it is, so it strips the outer pairs
+x … x⁻¹ off the freely reduced r1⁻¹r2 and reduces only that core (w1 = w2
+iff the core reduces to the empty word).  Conjugation changes σ-signs
+(σ1σ2⁻¹ is σ-positive, its conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so the
+order keeps the suffix and reduces the whole quotient.  Where a hashable
+key is wanted, `braid_key` gives one: the braid's Dynnikov coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
@@ -94,21 +99,6 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(1 if x > 0 else -1 for x in w)
 
 
-def _find_handle(w: list[int], start: int) -> tuple[int, int] | None:
-    """Leftmost-closing handle (j, k): w[j..k] = σ_i^e ... σ_i^{-e} with the
-    interior free of indices <= i.  No handle closes before `start`."""
-    for k in range(max(start, 1), len(w)):
-        i = abs(w[k])
-        for j in range(k - 1, -1, -1):
-            ij = abs(w[j])
-            if ij > i:
-                continue
-            if ij == i and w[j] == -w[k]:
-                return j, k
-            break  # same sign at index i, or a lower index: no handle closes at k
-    return None
-
-
 class HandleReductionDefect(RuntimeError):
     """Handle reduction broke one of its guarantees: a defect in this module."""
 
@@ -116,44 +106,62 @@ class HandleReductionDefect(RuntimeError):
 def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     """Equivalent handle-free word; empty, σ-positive, or σ-negative.
 
+    One left-to-right stack pass over the freely reduced word: `done` is a
+    prefix in which no handle closes, and `todo` holds the letters still to
+    read, the next one last.  A letter x of index i looks back in `done`
+    for the nearest letter of index <= i; if that is x⁻¹, the two close a
+    handle, whose interior leaves `done` and goes back onto `todo`
+    rewritten.  Every reduction is thus the leftmost-closing one, as in a
+    rescan from the handle's start.
+
     The step cap is a defect detector only: handle reduction terminates, so
     hitting the cap raises HandleReductionDefect, never a weaker answer.
     """
-    word = list(free_reduce(w))
-    start = 0
+    done: list[int] = []
+    todo = list(free_reduce(w)[::-1])
+    push = done.append
     steps = 0
-    while True:
-        found = _find_handle(word, start)
-        if found is None:
-            break
+    while todo:
+        x = todo.pop()
+        i = x if x > 0 else -x
+        j = len(done) - 1
+        while j >= 0 and (done[j] > i or done[j] < -i):
+            j -= 1
+        if j < 0 or done[j] != -x:  # no handle closes at x
+            push(x)
+            continue
         steps += 1
         if steps > step_cap:
             raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
-        j, k = found
-        e = 1 if word[j] > 0 else -1
-        i = abs(word[j])
-        replacement: list[int] = []
-        for x in word[j + 1 : k]:
-            if abs(x) == i + 1:
-                d = 1 if x > 0 else -1
-                replacement += [-e * (i + 1), d * i, e * (i + 1)]
+        # done[j] = σ_i^e: each σ_{i+1}^d of the interior becomes
+        # σ_{i+1}^{-e} σ_i^d σ_{i+1}^e, pushed onto todo last letter first
+        h = i + 1
+        up = -h if x > 0 else h
+        for z in reversed(done[j + 1 :]):
+            if z == h:
+                todo += (up, i, -up)
+            elif z == -h:
+                todo += (up, -i, -up)
             else:
-                replacement.append(x)
-        word[j : k + 1] = replacement
-        # The prefix before j is unchanged and contained no closing letter.
-        start = j
-    result = tuple(word)
-    if result:
-        m = min(abs(x) for x in result)
-        signs = {x > 0 for x in result if abs(x) == m}
-        if len(signs) != 1:
+                todo.append(z)
+        del done[j:]
+    if done:
+        m = min(map(abs, done))
+        if m in done and -m in done:
             raise HandleReductionDefect("handle-free word with mixed signs at its lowest index")
-    return result
+    return tuple(done)
 
 
 def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
-    """LESS/EQUAL/GREATER in the total order: w1 < w2 iff w1⁻¹w2 is σ-positive."""
-    r = handle_reduce(inverse(w1) + tuple(w2))
+    """LESS/EQUAL/GREATER in the total order: w1 < w2 iff w1⁻¹w2 is σ-positive.
+
+    A common prefix p cancels first (w1 = p·r1, w2 = p·r2 give the same
+    quotient r1⁻¹r2); a common suffix does not, since cancelling it
+    conjugates the quotient, which can change its σ-sign.
+    """
+    w1, w2 = tuple(w1), tuple(w2)
+    p = _common_prefix(w1, w2)
+    r = handle_reduce(inverse(w1[p:]) + w2[p:])
     if not r:
         return EQUAL
     m = min(abs(x) for x in r)
@@ -164,18 +172,37 @@ def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Whether w1 and w2 are the same braid.
 
-    Strips every outer pair q[i] = q[j]⁻¹ off the free reduction q of
-    w1⁻¹w2, so q = u·c·u⁻¹, and handle-reduces only the core c, which is
-    trivial iff q is.  Words with a long common suffix (a left comb's
-    sh(L)⁻¹) leave half their quotient in u.  `braid_compare` keeps the
-    whole quotient: conjugation changes σ-signs.
+    Cancels the longest common prefix p and suffix s first, since p·r1·s =
+    p·r2·s iff r1 = r2, for any words.  Then it strips every outer pair
+    q[i] = q[j]⁻¹ off the free reduction q of r1⁻¹r2, so q = u·c·u⁻¹, and
+    handle-reduces only the core c, which is trivial iff q is.
+    `braid_compare` keeps the suffix and the outer pairs: conjugation
+    changes σ-signs.
     """
-    q = free_reduce(inverse(w1) + tuple(w2))
+    w1, w2 = tuple(w1), tuple(w2)
+    p = _common_prefix(w1, w2)
+    s = _common_prefix(w1[p:][::-1], w2[p:][::-1])
+    q = free_reduce(inverse(w1[p : len(w1) - s]) + w2[p : len(w2) - s])
     i, j = 0, len(q)
     while i < j and q[i] == -q[j - 1]:
         i += 1
         j -= 1
     return not handle_reduce(q[i:j])
+
+
+def _common_prefix(u: BraidWord, v: BraidWord) -> int:
+    """Length of the longest common prefix, by binary search on slice
+    comparisons, which run in C."""
+    lo, hi = 0, min(len(u), len(v))
+    if u[:hi] == v[:hi]:
+        return hi
+    while hi - lo > 1:  # u[:lo] == v[:lo] and u[:hi] != v[:hi]
+        mid = (lo + hi) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def braid_key(w: BraidWord) -> tuple[int, ...]:
@@ -243,7 +270,8 @@ def braid_key(w: BraidWord) -> tuple[int, ...]:
 
 def braid_ld(b: BraidWord, c: BraidWord) -> BraidWord:
     """b * c = b · sh(c) · σ_1 · sh(b)⁻¹ (no simplification performed)."""
-    return tuple(b) + braid_shift(c) + (1,) + inverse(braid_shift(b))
+    sh_b_inverse = tuple([-x - 1 if x > 0 else 1 - x for x in reversed(b)])
+    return tuple(b) + braid_shift(c) + (1,) + sh_b_inverse
 
 
 @lru_cache(maxsize=1024)  # a decide or freeness round holds under 400 entries

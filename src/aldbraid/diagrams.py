@@ -56,20 +56,24 @@ def tree_pattern(t: Term) -> str:
 
 
 def parse_tree_pattern(text: str) -> Term:
-    t, pos = _tree_node(text, 0)
+    """The tree written as in `tree_pattern`; like `parse_term`, it refuses
+    nesting deeper than MAX_DEPTH with a ValueError."""
+    t, pos = _tree_node(text, 0, 0)
     if pos != len(text):
         raise ValueError(f"trailing input at {pos} in {text!r}")
     return t
 
 
-def _tree_node(text: str, pos: int) -> tuple[Term, int]:
+def _tree_node(text: str, pos: int, depth: int) -> tuple[Term, int]:
     """The tree starting at pos, and the position after it; a module-level
     function, as are the tree walks below."""
     if pos < len(text) and text[pos] == "x":
         return X, pos + 1
     if pos < len(text) and text[pos] == "(":
-        left, pos = _tree_node(text, pos + 1)
-        right, pos = _tree_node(text, pos)
+        if depth >= MAX_DEPTH:
+            raise ValueError(f"tree nested deeper than {MAX_DEPTH} at {pos}")
+        left, pos = _tree_node(text, pos + 1, depth + 1)
+        right, pos = _tree_node(text, pos, depth + 1)
         if pos >= len(text) or text[pos] != ")":
             raise ValueError(f"expected ')' at {pos} in {text!r}")
         return Compound(CIRC, left, right), pos + 1

@@ -27,9 +27,15 @@ from the variable-set and rightmost-variable filters, EQUAL only from
 `ld_closure`, which it shares with the decision under test.
 `recursive_variables`, `recursive_uses_only` and `recursive_is_special` walk
 the whole term, where the package reads facts cached on each node.
-`quotient_braid_equal` reads braid equality off the three-way order, which
-handle-reduces the whole quotient w1⁻¹w2, where `braid_equal` reduces only
-its core with the outer conjugating pairs stripped.
+`splice_handle_reduce` rescans for the leftmost-closing handle after each
+reduction and splices the rewritten interior into the list, where
+`handle_reduce` reads the word once onto a stack; the two must agree
+letter for letter and in the number of reductions.  `splice_braid_compare`
+reads the order off its reduction of the whole quotient w1⁻¹w2, where
+`braid_compare` cancels the common prefix first, and
+`quotient_braid_equal` reads equality off that order, where `braid_equal`
+cancels the common prefix and suffix and reduces only the core left after
+stripping the outer conjugating pairs.
 `rewrite_redex` writes each law and direction out as its own `isinstance`
 branch, and `redex_law_instances` finds an instance by building the
 rewritten redex, where `apply_law` and `law_instances` match one table of
@@ -42,7 +48,16 @@ import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from aldbraid.braids import EQUAL, braid_compare, eval_star_braid, free_reduce, handle_reduce
+from aldbraid.braids import (
+    EQUAL,
+    GREATER,
+    LESS,
+    HandleReductionDefect,
+    braid_compare,
+    eval_star_braid,
+    free_reduce,
+    handle_reduce,
+)
 from aldbraid.diagrams import (
     PBDiagram,
     add_caret,
@@ -167,10 +182,66 @@ def relation_closure(max_index: int = 3, cap: int = 8):
     return root_of
 
 
+def _find_handle(w: list, start: int):
+    """Leftmost-closing handle (j, k): w[j..k] = σ_i^e ... σ_i^{-e} with the
+    interior free of indices <= i.  No handle closes before `start`."""
+    for k in range(max(start, 1), len(w)):
+        i = abs(w[k])
+        for j in range(k - 1, -1, -1):
+            ij = abs(w[j])
+            if ij > i:
+                continue
+            if ij == i and w[j] == -w[k]:
+                return j, k
+            break  # same sign at index i, or a lower index: no handle closes at k
+    return None
+
+
+def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
+    """(handle-free word, number of reductions), by rescanning for the
+    leftmost-closing handle and splicing each reduction into the list, which
+    moves the whole tail.  More than step_cap reductions raise
+    HandleReductionDefect."""
+    word = list(free_reduce(w))
+    start = 0
+    steps = 0
+    while True:
+        found = _find_handle(word, start)
+        if found is None:
+            break
+        steps += 1
+        if steps > step_cap:
+            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
+        j, k = found
+        e = 1 if word[j] > 0 else -1
+        i = abs(word[j])
+        replacement: list = []
+        for x in word[j + 1 : k]:
+            if abs(x) == i + 1:
+                d = 1 if x > 0 else -1
+                replacement += [-e * (i + 1), d * i, e * (i + 1)]
+            else:
+                replacement.append(x)
+        word[j : k + 1] = replacement
+        # The prefix before j is unchanged and contained no closing letter.
+        start = j
+    return tuple(word), steps
+
+
+def splice_braid_compare(w1, w2) -> int:
+    """The order's LESS/EQUAL/GREATER read off the splice reduction of the
+    whole quotient w1⁻¹w2."""
+    r, _ = splice_handle_reduce(tuple(-x for x in reversed(w1)) + tuple(w2))
+    if not r:
+        return EQUAL
+    m = min(abs(x) for x in r)
+    return LESS if next(x > 0 for x in r if abs(x) == m) else GREATER
+
+
 def quotient_braid_equal(w1, w2) -> bool:
     """Braid equality as the order's EQUAL: the whole quotient w1⁻¹w2
-    handle-reduces to the empty word."""
-    return braid_compare(w1, w2) == EQUAL
+    splice-reduces to the empty word."""
+    return splice_braid_compare(w1, w2) == EQUAL
 
 
 class BraidClassIndex:

@@ -9,6 +9,7 @@ from aldbraid.braids import (
     EQUAL,
     GREATER,
     LESS,
+    HandleReductionDefect,
     braid_compare,
     braid_equal,
     braid_key,
@@ -24,7 +25,7 @@ from aldbraid.braids import (
     render_braid,
 )
 from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
-from oracles import quotient_braid_equal
+from oracles import quotient_braid_equal, splice_braid_compare, splice_handle_reduce
 
 B = parse_braid
 
@@ -73,6 +74,69 @@ def test_handle_reduce_sound_on_random_words():
         assert braid_equal(w, r)
 
 
+def test_handle_reduce_matches_the_splice_oracle_on_random_words():
+    # unreduced words too: the stack pass keeps the free-reduction pre-pass,
+    # so it reduces the same handles in the same order and hits the step cap
+    # at the same count
+    rng = random.Random(1997)
+    reductions = 0
+    for _ in range(3_000):
+        w = random_word(rng, rng.randint(0, 40), rng.randint(1, 6))
+        expected, k = splice_handle_reduce(w)
+        assert handle_reduce(w) == expected, w
+        _assert_cap_boundary(w, k, expected)
+        reductions += k
+        v = random_word(rng, rng.randint(0, 20), 6)
+        assert braid_compare(w, v) == splice_braid_compare(w, v), (w, v)
+    assert reductions > 10_000
+
+
+def test_handle_reduce_matches_the_splice_oracle_on_left_comb_cores():
+    # the cores braid_equal reduces for L * (a * b) against (L * a) * (L * b),
+    # L a left comb of 9-12 leaves, and the whole quotients braid_compare
+    # reduces for the smaller combs
+    for n in range(9, 13):
+        for lhs, rhs, _ in _left_comb_pairs(n, ("x", "x*x")):
+            q = free_reduce(inverse(lhs) + rhs)
+            core = _strip_outer_pairs(q)
+            expected, k = splice_handle_reduce(core)
+            assert handle_reduce(core) == expected
+            _assert_cap_boundary(core, k, expected)
+            if n <= 10:
+                assert braid_compare(lhs, rhs) == splice_braid_compare(lhs, rhs)
+                assert braid_compare(rhs, lhs) == splice_braid_compare(rhs, lhs)
+
+
+def _assert_cap_boundary(w, k, expected):
+    if k:
+        with pytest.raises(HandleReductionDefect):
+            handle_reduce(w, step_cap=k - 1)
+    assert handle_reduce(w, step_cap=k) == expected
+
+
+def _strip_outer_pairs(q):
+    i, j = 0, len(q)
+    while i < j and q[i] == -q[j - 1]:
+        i += 1
+        j -= 1
+    return q[i:j]
+
+
+def _left_comb_pairs(n, bs=("x",)):
+    """(L * (a * b), (L * a) * (L * b) or (L * a) * (L * (b * x)), equal)
+    braid words for L the left comb of n leaves and a of size <= 3."""
+    comb = X
+    for _ in range(n - 1):
+        comb = Compound(STAR, comb, X)
+    for a in map(parse_term, ("x", "x*x", "(x*x)*x", "x*(x*x)")):
+        for b in map(parse_term, bs):
+            lhs = eval_star_braid(Compound(STAR, comb, Compound(STAR, a, b)), ())
+            left = Compound(STAR, comb, a)
+            for right, equal in ((Compound(STAR, comb, b), True),
+                                 (Compound(STAR, comb, Compound(STAR, b, X)), False)):
+                yield lhs, eval_star_braid(Compound(STAR, left, right), ()), equal
+
+
 def test_braid_equal_examples():
     assert braid_equal(B("s1 s2 s1"), B("s2 s1 s2"))
     assert braid_equal(B("s1 s3"), B("s3 s1"))
@@ -109,19 +173,44 @@ def test_braid_equal_on_left_comb_expansions():
     # LD-equal, and against (L * a) * (L * (b * x)), which is not: both
     # quotients start and end in a conjugating pair, so the stripping fires
     # on both verdicts
-    b = X
-    comb = X
     for n in range(2, 14):
-        comb = Compound(STAR, comb, X)  # n leaves
-        for a in map(parse_term, ("x", "x*x", "(x*x)*x", "x*(x*x)")):
-            lhs = eval_star_braid(Compound(STAR, comb, Compound(STAR, a, b)), ())
-            left = Compound(STAR, comb, a)
-            for right, equal in ((Compound(STAR, comb, b), True),
-                                 (Compound(STAR, comb, Compound(STAR, b, X)), False)):
-                rhs = eval_star_braid(Compound(STAR, left, right), ())
-                q = free_reduce(inverse(lhs) + rhs)
-                assert q[0] == -q[-1]
-                assert braid_equal(lhs, rhs) == quotient_braid_equal(lhs, rhs) == equal
+        for lhs, rhs, equal in _left_comb_pairs(n):
+            q = free_reduce(inverse(lhs) + rhs)
+            assert q[0] == -q[-1]
+            assert braid_equal(lhs, rhs) == quotient_braid_equal(lhs, rhs) == equal
+
+
+def test_braid_equal_cancels_a_common_prefix_and_suffix():
+    # p·r1·s against p·r2·s with p and s of hundreds of letters, including
+    # one word a prefix of the other, empty words, words that are not freely
+    # reduced, and prefixes and suffixes that overlap in the shorter word
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(40):
+        p = random_word(rng, rng.randint(200, 400))
+        s = random_word(rng, rng.randint(200, 400))
+        r = random_word(rng, rng.randint(0, 12))
+        x = random_word(rng, rng.randint(100, 300))
+        pairs = [
+            (p + r + s, p + _equal_variant(rng, r) + s),
+            (p + r + s, p + random_word(rng, rng.randint(0, 12)) + s),
+            (p + r + inverse(r) + s, p + s),
+            (p, p + r),
+            (p, p + r + inverse(r)),
+            ((), p + inverse(p)),
+            ((), ()),
+            ((), r),
+            (x, x + r + x),
+            (x, x + inverse(x) + x),
+            (x + x, x + x + x),
+            (x + r + x, x + x),
+            (x + r + x, x + _equal_variant(rng, r) + x),
+        ]
+        for a, b in pairs:
+            same = braid_equal(a, b)
+            assert same == braid_equal(b, a) == quotient_braid_equal(a, b), (a, b)
+            verdicts.append(same)
+    assert 120 < sum(verdicts) < len(verdicts) - 120
 
 
 def test_order_reads_the_whole_quotient():
@@ -184,6 +273,15 @@ def test_braid_ld_examples():
     g = B("s2 S1")
     assert braid_ld((), g) == braid_shift(g) + (1,)
     assert braid_ld(B("s1"), ()) == B("s1 s1 S2")
+
+
+def test_braid_ld_matches_the_shift_inverse_composition():
+    # sh(b)⁻¹ is built in one pass; on the left combs of 9-12 leaves and the
+    # operands of their LD-expansions it is letter for letter inverse(sh(b))
+    for n in range(9, 13):
+        for lhs, rhs, _ in _left_comb_pairs(n):
+            for b, c in ((lhs, rhs), (rhs, lhs), (lhs, ()), ((), rhs), (B("S3 s1 S2"), lhs)):
+                assert braid_ld(b, c) == b + braid_shift(c) + (1,) + inverse(braid_shift(b))
 
 
 def test_braid_ld_satisfies_ld_up_to_equality():

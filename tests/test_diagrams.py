@@ -21,7 +21,7 @@ from aldbraid.diagrams import (
     word_to_diagram,
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
-from aldbraid.terms import enumerate_terms, parse_term, x_power
+from aldbraid.terms import MAX_DEPTH, enumerate_terms, parse_term, size, x_power
 from oracles import multiply_by_splitting, word_to_diagram_by_letters
 
 W = parse_pb
@@ -50,6 +50,23 @@ def test_tree_pattern_round_trip():
     assert parse_tree_pattern("x") == parse_term("x")
     with pytest.raises(ValueError):
         parse_tree_pattern("(x")
+
+
+def test_parse_tree_pattern_refuses_deep_nesting():
+    # a ValueError like parse_term's, not a RecursionError, under -O too
+    def left(depth):
+        return "(" * depth + "x" + "x)" * depth
+
+    def right(depth):
+        return "(x" * depth + "x" + ")" * depth
+
+    for nested in (left, right):
+        assert size(parse_tree_pattern(nested(MAX_DEPTH))) == MAX_DEPTH + 1
+        for depth in (MAX_DEPTH + 1, 3_000):
+            with pytest.raises(ValueError, match="nested deeper"):
+                parse_tree_pattern(nested(depth))
+            with pytest.raises(ValueError, match="nested deeper"):
+                PBDiagram.from_json({"dom": nested(depth), "braid": "", "cod": nested(depth)})
 
 
 def test_generators():
