@@ -179,10 +179,8 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     `braid_compare` keeps the suffix and the outer pairs: conjugation
     changes σ-signs.
     """
-    w1, w2 = tuple(w1), tuple(w2)
-    p = _common_prefix(w1, w2)
-    s = _common_prefix(w1[p:][::-1], w2[p:][::-1])
-    q = free_reduce(inverse(w1[p : len(w1) - s]) + w2[p : len(w2) - s])
+    r1, r2 = cancel_common_ends(tuple(w1), tuple(w2))
+    q = free_reduce(inverse(r1) + r2)
     i, j = 0, len(q)
     while i < j and q[i] == -q[j - 1]:
         i += 1
@@ -190,7 +188,15 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     return not handle_reduce(q[i:j])
 
 
-def _common_prefix(u: BraidWord, v: BraidWord) -> int:
+def cancel_common_ends(u: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """u and v without their longest common prefix, then without the
+    longest common suffix of what is left; tuples of any letters."""
+    p = _common_prefix(u, v)
+    s = _common_prefix(u[p:][::-1], v[p:][::-1])
+    return u[p : len(u) - s], v[p : len(v) - s]
+
+
+def _common_prefix(u: tuple, v: tuple) -> int:
     """Length of the longest common prefix, by binary search on slice
     comparisons, which run in C."""
     lo, hi = 0, min(len(u), len(v))

@@ -35,13 +35,14 @@ from functools import lru_cache
 from .braids import (
     BraidWord,
     braid_equal,
+    cancel_common_ends,
     free_reduce,
     inverse,
     parse_braid,
     permutation,
     render_braid,
 )
-from .pbwords import PBWord
+from .pbwords import PBWord, pb_free_reduce
 from .terms import CIRC, MAX_DEPTH, Compound, Term, Variable, X, size, x_power
 
 
@@ -235,8 +236,11 @@ def _diagram(dom: Term, braid: BraidWord, cod: Term, perm: tuple[int, ...]) -> P
     return d
 
 
+_IDENTITY = PBDiagram(X, (), X)
+
+
 def identity_diagram() -> PBDiagram:
-    return PBDiagram(X, (), X)
+    return _IDENTITY
 
 
 def _check_index(i: int) -> None:
@@ -414,6 +418,8 @@ def diagram_shift(d: PBDiagram) -> PBDiagram:
 
 @lru_cache(maxsize=None)
 def _letter_diagram(fam: str, signed: int) -> PBDiagram:
+    if fam not in ("s", "a"):
+        raise ValueError(f"unknown letter family {fam!r}")
     i = abs(signed)
     gen = gen_sigma(i) if fam == "s" else gen_a(i)
     return gen if signed > 0 else diagram_inverse(gen)
@@ -457,12 +463,17 @@ def _reduced_equal(r1: PBDiagram, r2: PBDiagram) -> bool:
 
 
 def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
-    """Equality of parenthesized-braid words through the diagram model.
-
-    `word_to_diagram` returns reduced diagrams (the identity, or the output
-    of `diagram_multiply`, which ends in `diagram_reduce`), so they compare
-    without a second reduction."""
-    return _reduced_equal(word_to_diagram(w1), word_to_diagram(w2))
+    """Equality of parenthesized-braid words through the diagram model,
+    after group cancellation only: each word is freely reduced, then the
+    common prefix and suffix of the two drop (p·r1·s = p·r2·s iff r1 = r2).
+    Every letter is validated first, so one the model refuses raises even
+    where it cancels.  `word_to_diagram` returns reduced diagrams (the
+    identity, or the output of `diagram_multiply`, which ends in
+    `diagram_reduce`), so the remainders compare without reducing again."""
+    for fam, signed in set(w1).union(w2):
+        _letter_diagram(fam, signed)
+    r1, r2 = cancel_common_ends(pb_free_reduce(w1), pb_free_reduce(w2))
+    return _reduced_equal(word_to_diagram(r1), word_to_diagram(r2))
 
 
 # ---------------------------------------------------------------------------

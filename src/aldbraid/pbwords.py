@@ -172,6 +172,8 @@ def fold_blocks(bs: Sequence[Term]) -> Term:
 def act_letter(v: Term, letter: PBLetter) -> Term | None:
     """Right action of one letter; None when undefined."""
     fam, signed = letter
+    if fam not in ("s", "a"):
+        raise ValueError(f"unknown letter family {fam!r}")
     i = abs(signed)
     bs = blocks(v)
     m = len(bs)

@@ -18,6 +18,9 @@ letter.  `struct_inv_I` and `struct_inv_J` recompute the invariants that
 `inv_I` and `inv_J` cache on each node.
 `word_to_diagram_by_letters` multiplies by one generator diagram per letter
 with no step cache, which `word_to_diagram` must reproduce exactly.
+`word_eq_by_diagrams` compares the diagrams of the two whole words, where
+`word_eq_oracle` first cancels in the free group: it reduces each word
+freely and drops the common prefix and suffix of the two.
 `pairwise_freeness_scan` is the freeness scan with equality by pairwise
 `diagram_equal` inside buckets of a cheap diagram invariant, double loops
 over all class and special-form pairs, and the class partition keyed by
@@ -54,6 +57,7 @@ from aldbraid.braids import (
     LESS,
     HandleReductionDefect,
     braid_compare,
+    braid_equal,
     eval_star_braid,
     free_reduce,
     handle_reduce,
@@ -324,6 +328,13 @@ def word_to_diagram_by_letters(w):
         gen = gen_sigma(abs(signed)) if fam == "s" else gen_a(abs(signed))
         d = diagram_multiply(d, gen if signed > 0 else diagram_inverse(gen))
     return d
+
+
+def word_eq_by_diagrams(w1, w2) -> bool:
+    """Word equality with no cancellation: the diagrams of the whole words,
+    which `word_to_diagram` returns reduced, compared as reduced diagrams."""
+    d1, d2 = word_to_diagram(w1), word_to_diagram(w2)
+    return d1.dom == d2.dom and d1.cod == d2.cod and braid_equal(d1.braid, d2.braid)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from aldbraid.diagrams import (
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
 from aldbraid.terms import MAX_DEPTH, enumerate_terms, parse_term, size, x_power
-from oracles import multiply_by_splitting, word_to_diagram_by_letters
+from oracles import multiply_by_splitting, word_eq_by_diagrams, word_to_diagram_by_letters
 
 W = parse_pb
 
@@ -241,6 +241,8 @@ def test_word_to_diagram_returns_reduced_diagrams():
     for u, v in zip(words, words[1:] + words[:1]):
         assert word_eq_oracle(u, v) == diagram_equal(word_to_diagram(u), word_to_diagram(v))
         assert word_eq_oracle(u, u + v + pb_inverse(v)), (u, v)
+        # word_eq_oracle decides the line above by free cancellation alone
+        assert diagram_equal(word_to_diagram(u + v + pb_inverse(v)), word_to_diagram(u)), (u, v)
 
 
 def test_word_to_diagram_matches_letter_by_letter_oracle():
@@ -277,6 +279,58 @@ def test_word_to_diagram_computes_each_step_once(monkeypatch):
     assert word_to_diagram(w) == first and not calls
     word_to_diagram(w + W("s2"))
     assert len(calls) == 1
+
+
+def test_word_eq_oracle_matches_the_uncancelled_oracle():
+    rng = random.Random(131)
+    letters = [(fam, sign * i) for fam in "sa" for i in range(1, 4) for sign in (1, -1)]
+    relators = [rel.lhs + pb_inverse(rel.rhs) for rel in relation_instances(3)]
+
+    def word(lo, hi):
+        return tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+    pairs = []
+    for _ in range(150):
+        pairs.append((word(0, 6), word(0, 6), None))  # mostly unequal
+        p, r1, s = word(0, 5), word(0, 3), word(0, 5)
+        k = rng.randint(0, len(r1))
+        r2 = r1[:k] + rng.choice(relators) + r1[k:]
+        pairs.append((p + r1 + s, p + r2 + s, True))
+        u, v = word(0, 6), word(1, 4)
+        pairs.append((u, u + v + pb_inverse(v), True))
+        w = word(0, 8)
+        pairs.append((w, w + W("a1"), False))
+    for w1, w2, expected in pairs:
+        got = word_eq_oracle(w1, w2)
+        assert got == word_eq_by_diagrams(w1, w2) == word_eq_oracle(w2, w1), (w1, w2)
+        assert expected is None or got == expected, (w1, w2)
+    assert 0 < sum(word_eq_oracle(w1, w2) for w1, w2, e in pairs if e is None) < 50
+
+
+def test_word_eq_oracle_cancels_before_any_product(monkeypatch):
+    multiply, calls = diagrams.diagram_multiply, []
+    monkeypatch.setattr(
+        diagrams, "diagram_multiply", lambda d1, d2: calls.append(1) or multiply(d1, d2)
+    )
+    diagrams._times_letter.cache_clear()
+    # equal up to free cancellation: no product at all
+    assert word_eq_oracle(W("s1 a2 S3 s3 A1"), W("a1 A1 s1 a2 A1 s2 S2"))
+    assert word_eq_oracle(W("s2 A1 a1 S2"), ())
+    assert not calls
+    # only the remainders s1 and a1 between the common prefix and suffix
+    p, s = W("a2 s1 A3 s2"), W("S1 a1 s3")
+    assert not word_eq_oracle(p + W("s1") + s, p + W("a1") + s)
+    assert len(calls) == 2
+
+
+def test_refused_letters_raise_even_where_they_cancel():
+    with pytest.raises(ValueError, match="unknown letter family"):
+        word_to_diagram((("q", 1),))
+    for w in [W("s300 S300"), (("s", 0), ("s", 0)), (("q", 1), ("q", -1))]:
+        with pytest.raises(ValueError):
+            word_eq_oracle(w, ())
+        with pytest.raises(ValueError):
+            word_eq_oracle(W("s1"), W("s1") + w)
 
 
 def test_word_to_diagram_long_word():

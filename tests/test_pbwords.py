@@ -107,6 +107,11 @@ def test_pb_act_term_examples():
     assert pb_act_term(T("x o x"), W("a2")) is None
 
 
+def test_pb_act_term_rejects_unknown_letter_family():
+    with pytest.raises(ValueError, match="unknown letter family"):
+        pb_act_term(x_power(4), (("q", 1),))
+
+
 def test_pb_act_term_inverse_split():
     v = T("(x o x) o x")
     assert pb_act_term(v, W("A1")) == T("x o (x o x)")
