@@ -30,7 +30,6 @@ from functools import cmp_to_key
 from .braids import braid_key
 from .diagrams import diagram_eval_term, word_eq_oracle, word_to_diagram
 from .invariants import (
-    LdClassIndex,
     ald_class_key,
     decide_ald,
     derive_special,
@@ -102,26 +101,25 @@ class ExperimentConfig:
 
 
 def ald_partition(terms) -> dict:
-    """Group terms by their ALD-class key, each class in order of appearance."""
-    index = LdClassIndex()
+    """Group terms by their ALD-class key, each class in order of appearance;
+    one memo dict serves every term, so each distinct J entry is keyed once."""
+    keys: dict = {}
     classes: dict = {}
     for t in terms:
-        classes.setdefault(ald_class_key(t, index), []).append(t)
+        classes.setdefault(ald_class_key(t, keys), []).append(t)
     return classes
 
 
-def _equality_labels(diagrams) -> list[int]:
-    """One label per reduced diagram, the position of the first diagram
-    equal to it: two labels agree exactly when `diagram_equal` holds, since
-    reduced diagrams are equal iff their trees are and their braids have the
-    same key.  The scan passes evaluations of the reduced `word_to_diagram`
+def _equality_labels(terms, diagrams) -> dict:
+    """Map each term to the first term whose reduced diagram equals its own:
+    two labels agree exactly when `diagram_equal` holds, since reduced
+    diagrams are equal iff their trees are and their braids have the same
+    key.  The scan passes evaluations of the reduced `word_to_diagram`
     output, which `diagram_eval_term` keeps reduced, so nothing is reduced
     here."""
     first: dict = {}
-    labels: list[int] = []
-    for idx, d in enumerate(diagrams):
-        labels.append(first.setdefault((d.dom, d.cod, braid_key(d.braid)), idx))
-    return labels
+    return {t: first.setdefault((d.dom, d.cod, braid_key(d.braid)), t)
+            for t, d in zip(terms, diagrams)}
 
 
 def _critical_pairs(specials) -> int:
@@ -144,9 +142,7 @@ def freeness_scan(config: ExperimentConfig) -> dict:
     for them only among the terms that share a label, and reports them in
     the order of a double loop over all pairs."""
     terms = list(enumerate_terms(1, "*o", config.max_term_size))
-    # the checks hold term positions, which index each word's label list
-    position = {t: i for i, t in enumerate(terms)}
-    classes = [[position[t] for t in members] for members in ald_partition(terms).values()]
+    classes = list(ald_partition(terms).values())
     reps = [members[0] for members in classes]
     report = {
         "max_term_size": config.max_term_size,
@@ -160,19 +156,19 @@ def freeness_scan(config: ExperimentConfig) -> dict:
     }
 
     def failure(word: str, **at) -> dict:
-        return {"gamma": word, **{key: render_term(terms[i]) for key, i in at.items()}}
+        return {"gamma": word, **{key: render_term(t) for key, t in at.items()}}
 
     # critical pairs: special forms u[s] vs v[t] with u < v, or u = v and
     # s strictly below t entrywise, must evaluate apart; skeletons compare by rank
-    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if is_special(t)]
+    specials = [(t, *decompose_special(t)) for t in terms if is_special(t)]
     skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
     rank = {u: r for r, u in enumerate(skeletons)}
-    specials = [(i, rank[u], seq) for i, u, seq in specials]
+    specials = [(t, rank[u], seq) for t, u, seq in specials]
     report["critical_pairs_checked"] = _critical_pairs(specials) * len(config.gamma_samples)
     for gamma in config.gamma_samples:
         word = render_pb(gamma)
         gamma_d, cache = word_to_diagram(gamma), {}
-        label = _equality_labels([diagram_eval_term(t, gamma_d, cache) for t in terms])
+        label = _equality_labels(terms, [diagram_eval_term(t, gamma_d, cache) for t in terms])
         for rep, *rest in classes:
             for other in rest:
                 if label[other] != label[rep]:
@@ -245,6 +241,8 @@ def _budget(text: str) -> tuple[int, int]:
         size_cap, step_cap = (int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"budget must be SIZE,STEPS, got {text!r}") from None
+    if size_cap < 1:
+        raise argparse.ArgumentTypeError(f"budget SIZE must be >= 1, got {text!r}")
     if step_cap < 1:
         raise argparse.ArgumentTypeError(f"budget STEPS must be >= 1, got {text!r}")
     return size_cap, step_cap

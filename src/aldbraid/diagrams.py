@@ -43,7 +43,7 @@ from .braids import (
     render_braid,
 )
 from .pbwords import PBWord, pb_free_reduce
-from .terms import CIRC, MAX_DEPTH, Compound, Term, Variable, X, size, x_power
+from .terms import CIRC, MAX_DEPTH, Compound, Term, Variable, X, size, substitute, x_power
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +91,7 @@ TREE_CACHE_SIZE = 1024
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def _graft(t: Term, subtrees: tuple[Term, ...]) -> Term:
     """Replace the k-th leaf of t by subtrees[k-1]."""
-    return _graft_leaves(t, iter(subtrees))
-
-
-# The recursive walks below are module-level functions, not nested closures:
-# a closure that calls itself is a reference cycle, made on every cache miss.
-def _graft_leaves(node: Term, it) -> Term:
-    if isinstance(node, Variable):
-        return next(it)
-    return Compound(CIRC, _graft_leaves(node.left, it), _graft_leaves(node.right, it))
+    return substitute(t, subtrees)
 
 
 def add_caret(t: Term, leaf: int) -> Term:

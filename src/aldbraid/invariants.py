@@ -163,27 +163,11 @@ def order_ald(s: Term, t: Term) -> int:
     return circ_cmp(inv_I(s), inv_I(t))
 
 
-class LdClassIndex:
-    """Interning of LD-classes of one-variable *-terms.
-
-    A class is keyed by `ld_class_key`, a complete invariant, so a lookup is
-    one dict probe; ids follow the order of first appearance.  A term's
-    class never changes once found, so each distinct term is keyed once per
-    index, in a dict keyed on the interned term node.
-    """
-
-    def __init__(self):
-        self._classes: dict = {}
-        self._ids: dict = {}
-
-    def class_id(self, t: Term) -> int:
-        found = self._ids.get(t)
-        if found is None:
-            key = ld_class_key(t)
-            found = self._ids[t] = self._classes.setdefault(key, len(self._classes))
-        return found
-
-
-def ald_class_key(t: Term, index: LdClassIndex) -> tuple:
-    """Hashable key identifying the ALD-class of a one-variable term."""
-    return (inv_I(t), tuple(index.class_id(e) for e in inv_J(t)))
+def ald_class_key(t: Term, keys: dict) -> tuple:
+    """Hashable key identifying the ALD-class of a one-variable term: its
+    I-part and each J entry's `ld_class_key`, memoized per entry in `keys`;
+    a value, whatever that dict held before."""
+    for e in inv_J(t):
+        if e not in keys:
+            keys[e] = ld_class_key(e)
+    return (inv_I(t), tuple(keys[e] for e in inv_J(t)))

@@ -34,7 +34,6 @@ from aldbraid.invariants import (
     order_ald,
     replay,
     specialize,
-    LdClassIndex,
     ald_class_key,
 )
 from aldbraid.ldoracle import (
@@ -283,8 +282,8 @@ def test_criterion_10_freeness_experiment():
 def test_criterion_11_ordering():
     terms = list(enumerate_terms(1, "*o", 5))
     ranked = sorted(terms, key=functools.cmp_to_key(order_ald))
-    index = LdClassIndex()
-    keys = {t: ald_class_key(t, index) for t in terms}
+    memo: dict = {}
+    keys = {t: ald_class_key(t, memo) for t in terms}
     # pairwise consistency with the sorted arrangement gives totality and
     # transitivity at once; the kernel must be exactly ALD-equality
     for i, a in enumerate(ranked):

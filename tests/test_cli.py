@@ -117,6 +117,19 @@ def test_budget_below_input_size_exit(capsys):
         assert message in err, argv
 
 
+def test_budget_size_below_one_exit(capsys):
+    # refused with the flag, also on pairs that never reach the closure
+    for pair in (("x", "x"), ("x1*x2", "x1*x2"), ("x1*x2", "(x1*x1)*x2")):
+        for command in ("decide-ld", "decide-ald"):
+            for budget in ("0,10", "-1,10"):
+                argv = (command, pair[0], pair[1], f"--budget={budget}")
+                code, _, err = run(capsys, *argv)
+                assert code == 64, argv
+                assert "budget SIZE must be >= 1" in err, argv
+    code, out, _ = run(capsys, "decide-ld", "x", "x", "--budget=1,10")
+    assert code == 0 and out.strip() == "equal"
+
+
 def test_size_cap_below_either_term_one_message(capsys):
     # the projections agree, so only the size cap stops the closure, in either order
     pair = ("(x1*x2)*(x1*x1)", "x1*(x2*x1)")

@@ -6,7 +6,6 @@ from aldbraid import invariants
 from aldbraid.braids import eval_star_braid
 from aldbraid.cli import ald_partition
 from aldbraid.invariants import (
-    LdClassIndex,
     ald_class_key,
     decide_ald,
     derive_special,
@@ -153,8 +152,8 @@ def test_order_ald_kernel_is_ald_equality_small():
 
 def test_ald_class_key_partitions_like_decide_ald():
     terms = list(enumerate_terms(1, "*o", 3))
-    index = LdClassIndex()
-    keys = {t: ald_class_key(t, index) for t in terms}
+    memo: dict = {}
+    keys = {t: ald_class_key(t, memo) for t in terms}
     for s in terms:
         for t in terms:
             assert (keys[s] == keys[t]) == (decide_ald(s, t).kind == "equal")
@@ -173,6 +172,15 @@ def test_class_index_looks_up_each_distinct_entry_once(monkeypatch):
         entries = tuple(reference.class_id(eval_star_braid(e, ())) for e in inv_J(t))
         expected.setdefault((inv_I(t), entries), []).append(t)
     assert list(classes.values()) == list(expected.values())
+
+
+def test_ald_class_keys_do_not_depend_on_the_order_of_lookups():
+    terms = list(enumerate_terms(1, "*o", 4))
+    forward, backward = {}, {}
+    keys = [ald_class_key(t, forward) for t in terms]
+    reversed_keys = [ald_class_key(t, backward) for t in reversed(terms)]
+    assert keys == reversed_keys[::-1]
+    assert len(set(keys)) < len(terms)
 
 
 def test_ald_class_key_invariants():
