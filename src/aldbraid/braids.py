@@ -29,8 +29,8 @@ key is wanted, `braid_key` gives one: the braid's Dynnikov coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
-Evaluating a one-variable *-term at a braid via this operation is a complete
-invariant of the term's LD-class, which is what the LD oracle runs on.
+Evaluating a *-term via this operation, every variable sent to one braid, is
+an LD-class invariant, complete on one-variable terms; the LD oracle runs on it.
 """
 
 from __future__ import annotations
@@ -280,12 +280,11 @@ def braid_ld(b: BraidWord, c: BraidWord) -> BraidWord:
     return tuple(b) + braid_shift(c) + (1,) + sh_b_inverse
 
 
-@lru_cache(maxsize=1024)  # a decide or freeness round holds under 400 entries
+@lru_cache(maxsize=1024)  # a decide or freeness round holds under 600 entries
 def eval_star_braid(t: Term, g: BraidWord) -> BraidWord:
-    """Evaluate a one-variable *-term at the braid g under the LD operation."""
+    """Evaluate a *-term under the LD operation, every variable sent to the
+    braid g: an invariant of LD-classes, complete on one-variable terms."""
     if isinstance(t, Variable):
-        if t.index != 1:
-            raise ValueError("term must be one-variable")
         return tuple(g)
     if t.op != STAR:
         raise ValueError("term must use only *")

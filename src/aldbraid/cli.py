@@ -40,6 +40,7 @@ from .invariants import (
 )
 from .ldoracle import Verdict, decide_ld_1var, decide_ld_bounded
 from .pbwords import (
+    MAX_WORD_LETTERS,
     audit_derived_identities,
     check_word_length,
     parse_pb,
@@ -53,8 +54,8 @@ from .pbwords import (
 from .terms import (
     MAX_DEPTH,
     ParseError,
+    Term,
     circ_cmp,
-    decompose_special,
     enumerate_terms,
     is_one_variable,
     is_special,
@@ -160,7 +161,7 @@ def freeness_scan(config: ExperimentConfig) -> dict:
 
     # critical pairs: special forms u[s] vs v[t] with u < v, or u = v and
     # s strictly below t entrywise, must evaluate apart; skeletons compare by rank
-    specials = [(t, *decompose_special(t)) for t in terms if is_special(t)]
+    specials = [(t, inv_I(t), inv_J(t)) for t in terms if is_special(t)]
     skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
     rank = {u: r for r, u in enumerate(skeletons)}
     specials = [(t, rank[u], seq) for t, u, seq in specials]
@@ -248,15 +249,22 @@ def _budget(text: str) -> tuple[int, int]:
     return size_cap, step_cap
 
 
+def _render(t: Term) -> str:
+    """render_term, refusing a term with more leaves than a word may have letters."""
+    if t.size > MAX_WORD_LETTERS:
+        raise ValueError(f"a term of {t.size} leaves is too large to print")
+    return render_term(t)
+
+
 def cmd_decide_ald(args) -> int:
     t1, t2 = parse_term(args.left), parse_term(args.right)
     verdict = decide_ald(t1, t2, *args.budget)
     payload = {
         "verdict": verdict.kind,
-        "i_left": render_term(inv_I(t1)),
-        "i_right": render_term(inv_I(t2)),
-        "j_left": [render_term(e) for e in inv_J(t1)],
-        "j_right": [render_term(e) for e in inv_J(t2)],
+        "i_left": _render(inv_I(t1)),
+        "i_right": _render(inv_I(t2)),
+        "j_left": [_render(e) for e in inv_J(t1)],
+        "j_right": [_render(e) for e in inv_J(t2)],
     }
     if verdict is Verdict.UNKNOWN:
         payload["reason"] = "LD oracle budget exhausted on a multi-variable entry pair"
@@ -297,7 +305,7 @@ def cmd_normalize(args) -> int:
     trace = derive_special(t)
     payload = {
         "input": render_term(t),
-        "special": render_term(special),
+        "special": _render(special),
         "trace": [
             {"law": s.law, "pos": "".join(s.pos), "direction": s.direction} for s in trace
         ],
@@ -316,7 +324,7 @@ def cmd_eval(args) -> int:
     # be too long; the diagram mode evaluates the recursive word's element,
     # and its braid grows with that word
     if args.mode == "closed-form":
-        v, ts = decompose_special(specialize(t))
+        v, ts = inv_I(t), inv_J(t)
         check_word_length(pb_closed_length(v, ts, len(gamma)))
         word = pb_eval_closed(v, ts, gamma)
         _emit(args, {"word": render_pb(word)}, [render_pb(word)])
@@ -441,6 +449,10 @@ def main(argv=None) -> int:
         return EX_USAGE if exit_.code == 2 else exit_.code
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EX_USAGE
+    except RecursionError:
+        # a parsed term is at most MAX_DEPTH deep; its J entries can be far deeper
+        print("error: a term derived from the input is nested too deeply", file=sys.stderr)
         return EX_USAGE
 
 

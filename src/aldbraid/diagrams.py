@@ -262,8 +262,6 @@ def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWor
     from a-1 down to 0 and k over the right block from 0 to b-1.  The block
     with the lower rank (refined first caret by caret) is the outer loop;
     either order gives the same braid."""
-    if max(widths) == 1:
-        return tuple(braid)
     strand = list(range(len(widths)))  # by current position
     start = [1]  # first cabled position of each current position
     for w in widths:

@@ -17,8 +17,8 @@ triviality but not the σ-sign the order is read from.
 For terms with several variables only a bounded semi-decision is available
 here.  NOT_EQUAL comes from three sound tests: LD steps preserve the set of
 variables occurring and the rightmost variable (though not variable
-multiplicities), and the assignment x_i ↦ x extends to an LD-homomorphism,
-so terms whose one-variable projections the total decision tells apart are
+multiplicities), and any assignment of braids to the variables extends to
+an LD-homomorphism, so terms whose braids at x_i ↦ 1 differ are
 LD-inequivalent (Dehornoy, *Braids and Self-Distributivity*, 2000).  EQUAL
 comes only from a breadth-first closure under single LD steps, capped in
 term size and in expansion count; a pair that passes the three tests and
@@ -26,7 +26,7 @@ whose closure misses the other term within the caps is UNKNOWN.
 
 No braid word longer than `pbwords.MAX_WORD_LETTERS` is built (a left comb
 of n leaves evaluates to 2^(n-1) - 1 letters): the one-variable decision
-refuses such a term with a ValueError, and the projection test is skipped.
+refuses such a term with a ValueError, and the evaluation test is skipped.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .terms import (
     is_one_variable,
     is_star_term,
     law_instances,
-    project,
     rightmost_variable,
     size,
     variables,
@@ -105,18 +104,10 @@ def _star_braid(t: Term) -> BraidWord:
 def ld_class_key(t: Term) -> tuple[int, ...]:
     """Key of the LD-class of a one-variable *-term: the Dynnikov coordinates
     (`braid_key`) of eval_star_braid(t, ()), a complete invariant; ValueError
-    when the braid word would exceed the cap."""
+    on several variables or when the braid word would exceed the cap."""
+    if not is_one_variable(t):
+        raise ValueError("expected a one-variable term")
     return braid_key(_star_braid(t))
-
-
-def _projections_differ(s: Term, t: Term) -> bool:
-    """Whether the x_i ↦ x projections of s and t are LD-inequivalent, which
-    makes s and t LD-inequivalent; False when they are LD-equivalent or when
-    a projection's braid word would exceed the cap."""
-    ps, pt = project(s), project(t)
-    if ps == pt or not (_fits(ps) and _fits(pt)):
-        return False
-    return ld_class_key(ps) != ld_class_key(pt)
 
 
 def default_size_cap(s: Term, t: Term) -> int:
@@ -155,10 +146,10 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
 
     NOT_EQUAL when the variable sets or the rightmost variables differ; a
     one-variable pair is then EQUAL or NOT_EQUAL by `braid_equal` on the two
-    evaluations, whatever the caps.  Otherwise NOT_EQUAL when the x_i ↦ x
-    projections are LD-inequivalent (a test skipped when a projection's
-    braid word would exceed the cap), EQUAL when a rewriting path within the
-    caps connects the terms, and UNKNOWN when none does.
+    evaluations, whatever the caps.  Otherwise NOT_EQUAL when the braids of
+    the terms at x_i ↦ 1 differ (skipped when a word would exceed the cap),
+    EQUAL when a rewriting path within the caps connects the terms, and
+    UNKNOWN when none does.
     """
     _require_star(s)
     _require_star(t)
@@ -173,7 +164,7 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
         size_cap = default_size_cap(s, t)
     elif size_cap < max(size(s), size(t)):
         raise ValueError("size_cap must be at least the size of both terms")
-    if _projections_differ(s, t):
+    if _fits(s) and _fits(t) and not braid_equal(eval_star_braid(s, ()), eval_star_braid(t, ())):
         return Verdict.NOT_EQUAL
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL

@@ -114,12 +114,20 @@ def pb_eval_term(t: Term, g: PBWord) -> PBWord:
 
 def pb_term_length(t: Term, gamma_len: int) -> int:
     """The length of pb_eval_term(t, g) for a word g of gamma_len letters,
-    computed from the term without building the word."""
-    if isinstance(t, Variable):
-        return gamma_len
-    b = pb_term_length(t.left, gamma_len)
-    c = pb_term_length(t.right, gamma_len)
-    return 2 * b + c + 1 if t.op == "*" else b + c + 1
+    computed from the term without building the word, on an explicit stack
+    that works out each distinct node once, for any depth and sharing."""
+    length: dict = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Variable):
+            length[node] = gamma_len
+        elif node.left in length and node.right in length:
+            b, c = length[node.left], length[node.right]
+            length[node] = 2 * b + c + 1 if node.op == "*" else b + c + 1
+        else:
+            stack += (node, node.right, node.left)
+    return length[t]
 
 
 def v_of_1(v: Term) -> PBWord:

@@ -438,17 +438,6 @@ def seq_sq(s: TermSeq, t: TermSeq) -> bool:
     return False
 
 
-def project(t: Term) -> Term:
-    """The image of t under the assignment x_i ↦ x for every i.
-
-    An assignment of the variables extends to a homomorphism for LD, ALD1
-    and ALD2 alike, so LD-equivalent terms have LD-equivalent projections.
-    """
-    if isinstance(t, Variable):
-        return X
-    return Compound(t.op, project(t.left), project(t.right))
-
-
 def x_power(n: int) -> Term:
     """Right ∘-comb with n leaves: x, x∘x, x∘(x∘x), ..."""
     if n < 1:

@@ -28,6 +28,11 @@ over all class and special-form pairs, and the class partition keyed by
 without the projection test or the one-variable decision: NOT_EQUAL only
 from the variable-set and rightmost-variable filters, EQUAL only from
 `ld_closure`, which it shares with the decision under test.
+`projection_decide_ld` is the bounded LD decision with the projection test
+as it was before that test evaluated the terms themselves:
+`projections_differ` rebuilds each term as its x_i ↦ x projection, evaluates
+it by a plain recursion through `braid_ld`, and compares the two braids by
+`quotient_braid_equal`.
 `recursive_variables`, `recursive_uses_only` and `recursive_is_special` walk
 the whole term, where the package reads facts cached on each node.
 `splice_handle_reduce` rescans for the leftmost-closing handle after each
@@ -58,6 +63,7 @@ from aldbraid.braids import (
     HandleReductionDefect,
     braid_compare,
     braid_equal,
+    braid_ld,
     eval_star_braid,
     free_reduce,
     handle_reduce,
@@ -78,7 +84,7 @@ from aldbraid.diagrams import (
 )
 from aldbraid.invariants import inv_I, inv_J
 from aldbraid.ldoracle import DEFAULT_STEP_CAP, Verdict, default_size_cap, ld_closure
-from aldbraid.pbwords import render_pb
+from aldbraid.pbwords import MAX_WORD_LETTERS, render_pb
 from aldbraid.terms import (
     ALD1,
     ALD2,
@@ -523,6 +529,62 @@ def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Ve
         return Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)
+    if t in ld_closure(s, size_cap, step_cap, target=t):
+        return Verdict.EQUAL
+    return Verdict.UNKNOWN
+
+
+def x_projection(t):
+    """The image of t under the assignment x_i ↦ x for every i."""
+    if isinstance(t, Variable):
+        return Variable(1)
+    return Compound(t.op, x_projection(t.left), x_projection(t.right))
+
+
+def one_variable_braid(t):
+    """The braid of a one-variable *-term at the trivial braid, by b * c =
+    braid_ld(b, c) on the braids of the two operands."""
+    if isinstance(t, Variable):
+        if t.index != 1:
+            raise ValueError("term must be one-variable")
+        return ()
+    if t.op != STAR:
+        raise ValueError("term must use only *")
+    return braid_ld(one_variable_braid(t.left), one_variable_braid(t.right))
+
+
+def _one_variable_braid_length(t) -> int:
+    if isinstance(t, Variable):
+        return 0
+    return 2 * _one_variable_braid_length(t.left) + _one_variable_braid_length(t.right) + 1
+
+
+def projections_differ(s, t) -> bool:
+    """Whether the x_i ↦ x projections of s and t have different braids;
+    False when the projections are equal or a braid would exceed the cap."""
+    ps, pt = x_projection(s), x_projection(t)
+    if ps == pt or max(map(_one_variable_braid_length, (ps, pt))) > MAX_WORD_LETTERS:
+        return False
+    return not quotient_braid_equal(one_variable_braid(ps), one_variable_braid(pt))
+
+
+def projection_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Verdict:
+    """`decide_ld_bounded` with its tests in the same order: the filters, the
+    one-variable decision, the size-cap check, `projections_differ`, and
+    the closure."""
+    if s == t:
+        return Verdict.EQUAL
+    if recursive_variables(s) != recursive_variables(t) or rightmost_variable(s) != rightmost_variable(t):
+        return Verdict.NOT_EQUAL
+    if recursive_variables(s) == {1}:
+        equal = quotient_braid_equal(one_variable_braid(s), one_variable_braid(t))
+        return Verdict.EQUAL if equal else Verdict.NOT_EQUAL
+    if size_cap is None:
+        size_cap = default_size_cap(s, t)
+    elif size_cap < max(s.size, t.size):
+        raise ValueError("size_cap must be at least the size of both terms")
+    if projections_differ(s, t):
+        return Verdict.NOT_EQUAL
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL
     return Verdict.UNKNOWN

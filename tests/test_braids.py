@@ -316,8 +316,8 @@ def test_eval_star_braid_cache_is_bounded():
 def test_eval_star_braid_rejects_bad_terms():
     with pytest.raises(ValueError):
         eval_star_braid(parse_term("x o x"), ())
-    with pytest.raises(ValueError):
-        eval_star_braid(parse_term("x1*x2"), ())
+    # every variable goes to g: the x_i ↦ x projection's braid
+    assert eval_star_braid(parse_term("x1*x2"), ()) == eval_star_braid(parse_term("x*x"), ())
 
 
 def test_inverse():

@@ -82,6 +82,56 @@ def test_long_left_comb_decisions_exit_64(capsys):
         assert time.perf_counter() - start < 1, command
 
 
+def _deep_derived_terms():
+    # seven 150-leaf ∘-combs chained by *: the text nests 8 deep, but the
+    # one J entry is a right *-comb of 1,051 leaves
+    comb = "(" + " o ".join(["x"] * 150) + ")"
+    return ("*(".join([comb] * 7) + tail + ")" * 6 for tail in ("*x", "*(x*x)"))
+
+
+def test_deeply_nested_derived_terms_exit_64(capsys):
+    t, t2 = _deep_derived_terms()
+    for argv in (
+        ["normalize", t],
+        ["decide-ald", t, t2],
+        ["order-ald", t, t2],
+        ["eval", t, "", "--closed-form"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "", argv[0]
+        assert err == "error: a term derived from the input is nested too deeply\n", argv[0]
+        assert time.perf_counter() - start < 1, argv[0]
+
+
+def _doubling_term():
+    # 26 times t -> (t)*(x o x): 267 characters, but the J entries have
+    # 2^27 - 1 leaves, and 2^28 - 1 in (E)*x
+    t = "(x o x)"
+    for _ in range(26):
+        t = f"({t})*(x o x)"
+    return t
+
+
+def test_terms_too_large_to_print_exit_64(capsys):
+    e = _doubling_term()
+    for argv in (["decide-ald", e, f"({e})*x"], ["normalize", e], ["normalize", f"({e})*x"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "", argv[0]
+        assert err.startswith("error: a term of") and "too large to print" in err, argv[0]
+        assert time.perf_counter() - start < 1, argv[0]
+
+
+def test_huge_shared_entries_exit_64_before_evaluating(capsys):
+    e = _doubling_term()
+    for argv in (["order-ald", e, f"({e})*x"], ["eval", e, "s1", "--closed-form"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 64 and "exceeds the cap" in err, argv[0]
+        assert time.perf_counter() - start < 1, argv[0]
+
+
 def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "decide-ald", "x*", "x")
     assert code == 64

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from aldbraid.braids import braid_compare, eval_star_braid
+from aldbraid.braids import braid_compare, braid_equal, eval_star_braid
 from aldbraid.invariants import decide_ald
 from aldbraid.ldoracle import (
     Verdict,
     decide_ld_1var,
     decide_ld_bounded,
     find_sq_witness,
+    ld_class_key,
     ld_closure,
     seq_ld_equal,
 )
@@ -29,7 +30,7 @@ from aldbraid.terms import (
     star_chain,
     variables,
 )
-from oracles import closure_only_decide_ld
+from oracles import closure_only_decide_ld, projection_decide_ld, projections_differ
 
 T = parse_term
 
@@ -157,6 +158,32 @@ def test_projection_agrees_with_closure_only_oracle():
             assert new is Verdict.NOT_EQUAL, (s, t)
             newly_decided += 1
     assert newly_decided > 0
+
+
+@pytest.mark.parametrize("n_vars, count", [(2, 3528), (3, 22872)])
+def test_evaluation_test_matches_projection_oracle(n_vars, count):
+    # every ordered pair of *-terms of size <= 4 in several of the variables
+    # x1..x{n_vars} that passes both filters, s = t included; a size cap of 6
+    # gives the closure the same EQUAL verdicts here as the default cap
+    terms = [t for t in enumerate_terms(n_vars, "*", 4) if len(variables(t)) > 1]
+    pairs = [
+        (s, t) for s in terms for t in terms
+        if variables(s) == variables(t) and rightmost_variable(s) == rightmost_variable(t)
+    ]
+    assert len(pairs) == count
+    for s, t in pairs:
+        differ = not braid_equal(eval_star_braid(s, ()), eval_star_braid(t, ()))
+        assert differ == projections_differ(s, t), (s, t)
+        verdict = decide_ld_bounded(s, t, size_cap=6)
+        assert verdict is projection_decide_ld(s, t, size_cap=6), (s, t)
+
+
+def test_ld_class_key_rejects_several_variables():
+    assert ld_class_key(T("x*(x*x)")) == ld_class_key(T("(x*x)*(x*x)"))
+    with pytest.raises(ValueError, match="one-variable"):
+        ld_class_key(T("x1*x2"))
+    with pytest.raises(ValueError, match="one-variable"):
+        ld_class_key(T("x2"))
 
 
 def test_agreement_1var_vs_bounded_size_4():

@@ -26,7 +26,17 @@ from aldbraid.pbwords import (
     v_of_1,
 )
 from aldbraid.invariants import specialize
-from aldbraid.terms import decompose_special, enumerate_terms, ht_r, parse_term, size, x_power
+from aldbraid.terms import (
+    X,
+    Compound,
+    decompose_special,
+    enumerate_terms,
+    ht_r,
+    parse_term,
+    size,
+    star_chain,
+    x_power,
+)
 
 W = parse_pb
 T = parse_term
@@ -92,6 +102,19 @@ def test_word_lengths_from_the_term():
         for g in ((), W("s1"), W("s1 a2 A1")):
             assert pb_term_length(t, len(g)) == len(pb_eval_term(t, g))
             assert pb_closed_length(v, ts, len(g)) == len(pb_eval_closed(v, ts, g))
+
+
+def test_word_length_of_shared_and_deep_terms():
+    # t_k = t_{k-1}*t_{k-1} has 2^k leaves but k + 1 distinct nodes, and its
+    # length at the empty word obeys l_k = 3·l_{k-1} + 1
+    t = T("x")
+    for _ in range(60):
+        t = Compound("*", t, t)
+    assert pb_term_length(t, 0) == (3**60 - 1) // 2
+    # a right comb of n leaves, far deeper than the recursion limit:
+    # n - 1 carets, each adding 2m + 1 letters to the m of the last leaf
+    n, m = 5_000, 3
+    assert pb_term_length(star_chain([X] * (n - 1), X), m) == (n - 1) * (2 * m + 1) + m
 
 
 def test_blocks_fold():
