@@ -24,6 +24,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -59,6 +60,7 @@ from .terms import (
     enumerate_terms,
     is_one_variable,
     is_special,
+    iter_left_subterms,
     parse_term,
     render_term,
     seq_sq,
@@ -72,8 +74,10 @@ EX_USAGE = 64
 DEFAULT_GAMMAS = ("", "s1", "a1", "s1 a2")
 
 #: Largest term size a freeness scan accepts.  Size 10 has 2^9·C9 = 2,489,344
-#: terms, projected from the size-9 run at about 6.7 GiB and 15 minutes per
-#: word; size 11 has 2^10·C10 = 17,199,104, about seven times as many.
+#: terms, projected at about 8 GiB and 5 minutes per word: a one-word scan
+#: grew 7.0-fold in memory and 7.4-fold in time from size 8 to size 9 (41 s,
+#: 1.2 GiB on 2 cores); size 11 has 2^10·C10 = 17,199,104, about seven
+#: times as many.
 MAX_SCAN_SIZE = 10
 
 
@@ -95,6 +99,9 @@ class ExperimentConfig:
             raise ValueError(f"relation_index_cap must be between 2 and {MAX_DEPTH - 3}")
         if self.z_sample_count < 2:
             raise ValueError("z_sample_count must be >= 2")
+        # a scan with no sample word checks nothing and would report ok
+        if not self.gamma_samples:
+            raise ValueError("gamma_samples must name at least one word")
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +124,36 @@ def _equality_labels(terms, diagrams) -> dict:
     diagrams are equal iff their trees are and their braids have the same
     key.  The scan passes evaluations of the reduced `word_to_diagram`
     output, which `diagram_eval_term` keeps reduced, so nothing is reduced
-    here."""
+    here.  Evaluations often share their braid word (the trivial word most
+    of all, and b∘c often has the braid of b·sh(c)), so each distinct word
+    is keyed once per call."""
+    keys: dict = {}  # braid word -> braid_key
     first: dict = {}
-    return {t: first.setdefault((d.dom, d.cod, braid_key(d.braid)), t)
-            for t, d in zip(terms, diagrams)}
+    labels: dict = {}
+    for t, d in zip(terms, diagrams):
+        key = keys.get(d.braid)
+        if key is None:
+            key = keys[d.braid] = braid_key(d.braid)
+        labels[t] = first.setdefault((d.dom, d.cod, key), t)
+    return labels
 
 
 def _critical_pairs(specials) -> int:
     """Ordered special-form pairs (u[s], v[t]) with u below v in rank, or the
-    same skeleton and s ⃗⊏ t: the pairs each sample word checks."""
-    by_rank: dict = {}
-    for _, r, seq in specials:
-        by_rank.setdefault(r, []).append(seq)
-    same_rank = sum(len(group) ** 2 for group in by_rank.values())
-    ordered = sum(seq_sq(s, t) for group in by_rank.values() for s in group for t in group)
+    same skeleton and s ⃗⊏ t: the pairs each sample word checks.  The rank
+    fixes the length of s and t, so s ⃗⊏ t says that s has the prefix
+    t[:k] + (w,) for some entry k and some w ⊏ t_k, and the pair has exactly
+    one such k and w.  The count of each (rank, prefix) is taken once, and
+    each t looks up one count per iterated left subterm of its entries, in
+    place of a `seq_sq` test on every pair of a rank group."""
+    prefixes = Counter((r, seq[: k + 1]) for _, r, seq in specials for k in range(len(seq)))
+    ordered = sum(
+        prefixes.get((r, seq[:k] + (w,)), 0)
+        for _, r, seq in specials
+        for k, entry in enumerate(seq)
+        for w in iter_left_subterms(entry)
+    )
+    same_rank = sum(n * n for n in Counter(r for _, r, _ in specials).values())
     return (len(specials) ** 2 - same_rank) // 2 + ordered
 
 

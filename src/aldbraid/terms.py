@@ -417,14 +417,17 @@ def circ_less(u: Term, v: Term) -> bool:
     return circ_cmp(u, v) < 0
 
 
+def iter_left_subterms(t: Term) -> Iterator[Term]:
+    """Every s with s ⊏ t, from the largest: the left operands down the chain
+    of *-nodes at the top of t."""
+    while isinstance(t, Compound) and t.op == STAR:
+        t = t.left
+        yield t
+
+
 def is_iter_left_subterm(s: Term, t: Term) -> bool:
     """s ⊏ t: t = (...((s*t1)*t2)...)*tp for some p >= 1."""
-    u = t
-    while isinstance(u, Compound) and u.op == STAR:
-        u = u.left
-        if u == s:
-            return True
-    return False
+    return s in iter_left_subterms(t)
 
 
 def seq_sq(s: TermSeq, t: TermSeq) -> bool:

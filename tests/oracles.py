@@ -24,7 +24,11 @@ freely and drops the common prefix and suffix of the two.
 `pairwise_freeness_scan` is the freeness scan with equality by pairwise
 `diagram_equal` inside buckets of a cheap diagram invariant, double loops
 over all class and special-form pairs, and the class partition keyed by
-`BraidClassIndex`.  `closure_only_decide_ld` is the bounded LD decision
+`BraidClassIndex`.  `quadratic_critical_pairs` counts the critical pairs
+by `seq_sq` on every pair of a rank group, where `cli._critical_pairs`
+counts prefixes once and walks the left spines; `per_term_equality_labels`
+computes `braid_key` for every term, where `cli._equality_labels` keys each
+distinct braid word once.  `closure_only_decide_ld` is the bounded LD decision
 without the projection test or the one-variable decision: NOT_EQUAL only
 from the variable-set and rightmost-variable filters, EQUAL only from
 `ld_closure`, which it shares with the decision under test.
@@ -63,6 +67,7 @@ from aldbraid.braids import (
     HandleReductionDefect,
     braid_compare,
     braid_equal,
+    braid_key,
     braid_ld,
     eval_star_braid,
     free_reduce,
@@ -467,6 +472,15 @@ def bucket_equality_labels(diagrams) -> list[int]:
     return labels
 
 
+def ranked_specials(terms) -> list:
+    """(position, skeleton rank, J-sequence) of each special form in terms,
+    the skeletons ranked in the ∘-order."""
+    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if recursive_is_special(t)]
+    skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
+    rank = {u: r for r, u in enumerate(skeletons)}
+    return [(i, rank[u], seq) for i, u, seq in specials]
+
+
 def pairwise_freeness_scan(config, evaluate) -> dict:
     """The report of `cli.freeness_scan(config)` with `evaluate` in place of
     `diagram_eval_term`, every check a loop over all pairs."""
@@ -491,10 +505,7 @@ def pairwise_freeness_scan(config, evaluate) -> dict:
     def failure(word, **at):
         return {"gamma": word, **{key: render_term(terms[i]) for key, i in at.items()}}
 
-    specials = [(i, *decompose_special(t)) for i, t in enumerate(terms) if recursive_is_special(t)]
-    skeletons = sorted({u for _, u, _ in specials}, key=cmp_to_key(circ_cmp))
-    rank = {u: r for r, u in enumerate(skeletons)}
-    specials = [(i, rank[u], seq) for i, u, seq in specials]
+    specials = ranked_specials(terms)
     for gamma in config.gamma_samples:
         word = render_pb(gamma)
         gamma_d, cache = word_to_diagram(gamma), {}
@@ -518,6 +529,25 @@ def pairwise_freeness_scan(config, evaluate) -> dict:
         or report["critical_failures"]
     )
     return report
+
+
+def quadratic_critical_pairs(specials) -> int:
+    """The count of `cli._critical_pairs`, with `seq_sq` tried on every
+    ordered pair of one rank group."""
+    by_rank: dict = {}
+    for _, r, seq in specials:
+        by_rank.setdefault(r, []).append(seq)
+    same_rank = sum(len(group) ** 2 for group in by_rank.values())
+    ordered = sum(seq_sq(s, t) for group in by_rank.values() for s in group for t in group)
+    return (len(specials) ** 2 - same_rank) // 2 + ordered
+
+
+def per_term_equality_labels(terms, diagrams) -> dict:
+    """The labels of `cli._equality_labels`, with `braid_key` computed once
+    per term."""
+    first: dict = {}
+    return {t: first.setdefault((d.dom, d.cod, braid_key(d.braid)), t)
+            for t, d in zip(terms, diagrams)}
 
 
 def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Verdict:

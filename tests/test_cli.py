@@ -4,11 +4,24 @@ import time
 
 import pytest
 
-from aldbraid.cli import MAX_SCAN_SIZE, ExperimentConfig, freeness_scan, main
-from aldbraid.diagrams import diagram_eval_term, gen_a, gen_sigma, identity_diagram
-from aldbraid.pbwords import MAX_WORD_LETTERS, relation_instances
+from aldbraid.cli import (
+    DEFAULT_GAMMAS,
+    MAX_SCAN_SIZE,
+    ExperimentConfig,
+    _critical_pairs,
+    _equality_labels,
+    freeness_scan,
+    main,
+)
+from aldbraid.diagrams import diagram_eval_term, gen_a, gen_sigma, identity_diagram, word_to_diagram
+from aldbraid.pbwords import MAX_WORD_LETTERS, parse_pb, relation_instances
 from aldbraid.terms import MAX_DEPTH, enumerate_terms
-from oracles import pairwise_freeness_scan
+from oracles import (
+    pairwise_freeness_scan,
+    per_term_equality_labels,
+    quadratic_critical_pairs,
+    ranked_specials,
+)
 
 
 def run(capsys, *argv):
@@ -291,7 +304,7 @@ def test_verify_relations_rejects_vacuous_configs(capsys):
     # samples would be silently raised to the two fixed ones; an index whose
     # shift relation needs a letter the diagram model refuses, or a scan
     # size past MAX_SCAN_SIZE, would first build a runaway number of
-    # relations or terms
+    # relations or terms; a scan with no sample word checks no pair
     too_deep = str(MAX_DEPTH - 2)
     for command, *argv in (
         ["verify-relations", "--max-index", "0"],
@@ -310,6 +323,7 @@ def test_verify_relations_rejects_vacuous_configs(capsys):
         dict(relation_index_cap=MAX_DEPTH - 2),
         dict(z_sample_count=1),
         dict(max_term_size=MAX_SCAN_SIZE + 1),
+        dict(max_term_size=4, gamma_samples=()),
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
@@ -384,6 +398,38 @@ def test_failing_freeness_scans_match_pairwise_oracle(monkeypatch):
         assert len(report["separation_collisions"]) > 1000
         assert len(report["critical_failures"]) > 1000
         assert evaluate is constant or report["constant_failures"]
+
+
+@pytest.mark.parametrize(
+    "max_size, pairs",
+    [(1, 0), (2, 3), (3, 34), (4, 407), (5, 5_690), (6, 89_888), (7, 1_548_773)],
+)
+def test_critical_pair_count_matches_quadratic_oracle(max_size, pairs):
+    specials = ranked_specials(list(enumerate_terms(1, "*o", max_size)))
+    assert _critical_pairs(specials) == quadratic_critical_pairs(specials) == pairs
+
+
+def test_equality_labels_match_per_term_oracle():
+    terms = list(enumerate_terms(1, "*o", 6))
+    for word in DEFAULT_GAMMAS:
+        gamma_d, cache = word_to_diagram(parse_pb(word)), {}
+        diagrams = [diagram_eval_term(t, gamma_d, cache) for t in terms]
+        labels = _equality_labels(terms, diagrams)
+        assert labels == per_term_equality_labels(terms, diagrams)
+        assert len(set(labels.values())) < len(terms)
+
+
+@pytest.mark.parametrize("seed, values", [(1, 2), (2, 3), (3, 5)])
+def test_equality_labels_match_per_term_oracle_on_coarse_evaluations(seed, values):
+    # the coarse evaluations of the failing-scan test: few braid words, each
+    # shared by many terms
+    rng = random.Random(seed)
+    terms = list(enumerate_terms(1, "*o", 5))
+    for _ in DEFAULT_GAMMAS:
+        diagrams = [gen_sigma(rng.randrange(values) + 1) for _ in terms]
+        labels = _equality_labels(terms, diagrams)
+        assert labels == per_term_equality_labels(terms, diagrams)
+        assert len(set(labels.values())) == values
 
 
 def test_freeness_scan_custom_gamma(capsys):
