@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .terms import STAR, Term, Variable
+from .terms import Term, is_star_term, right_spine
 
 BraidWord = tuple  # tuple[int, ...]
 
@@ -284,8 +284,9 @@ def braid_ld(b: BraidWord, c: BraidWord) -> BraidWord:
 def eval_star_braid(t: Term, g: BraidWord) -> BraidWord:
     """Evaluate a *-term under the LD operation, every variable sent to the
     braid g: an invariant of LD-classes, complete on one-variable terms."""
-    if isinstance(t, Variable):
-        return tuple(g)
-    if t.op != STAR:
+    if not is_star_term(t):
         raise ValueError("term must use only *")
-    return braid_ld(eval_star_braid(t.left, g), eval_star_braid(t.right, g))
+    word = tuple(g)
+    for node in reversed(right_spine(t)[0]):
+        word = braid_ld(eval_star_braid(node.left, g), word)
+    return word

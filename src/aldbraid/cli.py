@@ -474,7 +474,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
     except RecursionError:
-        # a parsed term is at most MAX_DEPTH deep; its J entries can be far deeper
+        # the LD closure's rewriting positions run down J entries far deeper than MAX_DEPTH
         print("error: a term derived from the input is nested too deeply", file=sys.stderr)
         return EX_USAGE
 

@@ -48,11 +48,11 @@ _set = object.__setattr__
 
 # Both invariants are cached on the node the first time they are asked for
 # (the `inv_i`/`inv_j` slots of `Compound`), so each node of a term is worked
-# out once.  A one-variable ∘-term is its own I-part and a *-term t has
-# J(t) = (t,); both are returned without caching, so no node holds itself.
+# out once.  A *-term t has I(t) = x and J(t) = (t,), and a one-variable
+# ∘-term is its own I-part: returned uncached, so no node holds itself.
 def inv_I(t: Term) -> Term:
     """The ∘-skeleton invariant: a one-variable ∘-term."""
-    if isinstance(t, Variable):
+    if is_star_term(t):
         return X
     found = t.inv_i
     if found is None:

@@ -38,13 +38,12 @@ from .braids import LESS, BraidWord, braid_compare, braid_equal, braid_key, eval
 from .pbwords import MAX_WORD_LETTERS, check_word_length, pb_term_length
 from .terms import (
     LD,
-    STAR,
-    Compound,
     Term,
     TermSeq,
     apply_law,
     is_one_variable,
     is_star_term,
+    iter_left_subterms,
     law_instances,
     rightmost_variable,
     size,
@@ -203,9 +202,7 @@ def find_sq_witness(s: Term, t: Term, size_cap: int | None = None,
     lo_closure = ld_closure(lo, size_cap, step_cap)
     hi_closure = ld_closure(hi, size_cap, step_cap)
     for big in hi_closure:
-        node = big
-        while isinstance(node, Compound) and node.op == STAR:
-            node = node.left
+        for node in iter_left_subterms(big):
             if node in lo_closure:
                 return (node, big) if sign == LESS else (big, node)
     return None

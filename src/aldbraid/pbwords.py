@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .terms import CIRC, Compound, Term, Variable, size, x_power
+from .terms import CIRC, Compound, Term, Variable, X, right_spine, size, x_power
 
 PBLetter = tuple  # (family: "s" | "a", signed index)
 PBWord = tuple  # tuple[PBLetter, ...]
@@ -103,13 +103,14 @@ def pb_circ(b: PBWord, c: PBWord) -> PBWord:
 
 def pb_eval_term(t: Term, g: PBWord) -> PBWord:
     """Evaluate a one-variable term at the word g through * and ∘."""
-    if isinstance(t, Variable):
-        if t.index != 1:
-            raise ValueError("term must be one-variable")
-        return tuple(g)
-    left = pb_eval_term(t.left, g)
-    right = pb_eval_term(t.right, g)
-    return pb_star(left, right) if t.op == "*" else pb_circ(left, right)
+    spine, leaf = right_spine(t)
+    if leaf is not X:
+        raise ValueError("term must be one-variable")
+    word = tuple(g)
+    for node in reversed(spine):
+        left = tuple(g) if node.left is X else pb_eval_term(node.left, g)
+        word = pb_star(left, word) if node.op == "*" else pb_circ(left, word)
+    return word
 
 
 def pb_term_length(t: Term, gamma_len: int) -> int:
@@ -162,12 +163,8 @@ def pb_closed_length(v: Term, ts: Sequence[Term], gamma_len: int) -> int:
 
 def blocks(v: Term) -> list[Term]:
     """Blocks along the rightmost branch: v = b1 ∘ (b2 ∘ (... ∘ bm)), bm = x."""
-    out = []
-    while isinstance(v, Compound):
-        out.append(v.left)
-        v = v.right
-    out.append(v)
-    return out
+    spine, leaf = right_spine(v)
+    return [node.left for node in spine] + [leaf]
 
 
 def fold_blocks(bs: Sequence[Term]) -> Term:

@@ -170,10 +170,10 @@ class LawInstance:
 
 
 #: Deepest nesting of operators and parentheses that parse_term accepts: the
-#: functions that walk a term (render_term, inv_I/inv_J, substitute, the tree
-#: helpers of `diagrams`, ...) recurse once per level, and deeper terms
-#: overflow the stack.  Hashing, equality and size read cached fields and
-#: take terms of any depth.
+#: walks of parsed input and ∘-skeletons (inv_J, substitute, the tree helpers
+#: of `diagrams`, ...) recurse once per level, and deeper terms overflow the
+#: stack.  Derived terms are deep only along a right spine (see right_spine).
+#: Hashing, equality and size read cached fields and take any depth.
 MAX_DEPTH = 200
 
 
@@ -258,13 +258,14 @@ def _parse_primary(tokens: list, pos: int, depth: int) -> tuple[Term, int]:
 
 def render_term(t: Term) -> str:
     """Canonical rendering; round-trips through parse_term."""
-    if isinstance(t, Variable):
-        return f"x{t.index}"
-    left = render_term(t.left)
-    if isinstance(t.left, Compound):
-        left = f"({left})"
-    sep = t.op if t.op == STAR else f" {CIRC} "
-    return f"{left}{sep}{render_term(t.right)}"
+    spine, leaf = right_spine(t)
+    parts = []
+    for node in spine:
+        left = node.left
+        sep = node.op if node.op == STAR else f" {CIRC} "
+        parts += (f"x{left.index}" if isinstance(left, Variable) else f"({render_term(left)})", sep)
+    parts.append(f"x{leaf.index}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +277,19 @@ def size(t: Term) -> int:
     return t.size
 
 
+def right_spine(t: Term) -> tuple[list[Compound], Variable]:
+    """The compounds down t's rightmost branch, root first, and its leaf.  J
+    entries s1*(s2*(...*tk)) are deep only here, so their walks loop over it."""
+    spine = []
+    while isinstance(t, Compound):
+        spine.append(t)
+        t = t.right
+    return spine, t
+
+
 def ht_r(t: Term) -> int:
     """Length of the rightmost branch: ht_r(x) = 0, ht_r(a □ b) = ht_r(b) + 1."""
-    h = 0
-    while isinstance(t, Compound):
-        t = t.right
-        h += 1
-    return h
+    return len(right_spine(t)[0])
 
 
 def variables(t: Term) -> frozenset[int]:
@@ -291,9 +298,7 @@ def variables(t: Term) -> frozenset[int]:
 
 
 def rightmost_variable(t: Term) -> int:
-    while isinstance(t, Compound):
-        t = t.right
-    return t.index
+    return right_spine(t)[1].index
 
 
 def is_one_variable(t: Term) -> bool:

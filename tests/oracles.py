@@ -39,6 +39,9 @@ it by a plain recursion through `braid_ld`, and compares the two braids by
 `quotient_braid_equal`.
 `recursive_variables`, `recursive_uses_only` and `recursive_is_special` walk
 the whole term, where the package reads facts cached on each node.
+`recursive_eval_star_braid` and `recursive_pb_eval_term` recurse into both
+operands of every node, uncached, where `eval_star_braid` and `pb_eval_term`
+loop up the rightmost branch and recurse only into left operands.
 `splice_handle_reduce` rescans for the leftmost-closing handle after each
 reduction and splices the rewritten interior into the list, where
 `handle_reduce` reads the word once onto a stack; the two must agree
@@ -89,7 +92,7 @@ from aldbraid.diagrams import (
 )
 from aldbraid.invariants import inv_I, inv_J
 from aldbraid.ldoracle import DEFAULT_STEP_CAP, Verdict, default_size_cap, ld_closure
-from aldbraid.pbwords import MAX_WORD_LETTERS, render_pb
+from aldbraid.pbwords import MAX_WORD_LETTERS, pb_circ, pb_star, render_pb
 from aldbraid.terms import (
     ALD1,
     ALD2,
@@ -562,6 +565,35 @@ def closure_only_decide_ld(s, t, size_cap=None, step_cap=DEFAULT_STEP_CAP) -> Ve
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL
     return Verdict.UNKNOWN
+
+
+def value_or_error(f, *args):
+    """f(*args), or the class ValueError when the call raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def recursive_eval_star_braid(t, g):
+    """The braid of a *-term with every variable sent to g, by b * c =
+    braid_ld(b, c) on the braids of the two operands."""
+    if isinstance(t, Variable):
+        return tuple(g)
+    if t.op != STAR:
+        raise ValueError("term must use only *")
+    return braid_ld(recursive_eval_star_braid(t.left, g), recursive_eval_star_braid(t.right, g))
+
+
+def recursive_pb_eval_term(t, g):
+    """The word of a one-variable term at g, by pb_star or pb_circ on the
+    words of the two operands."""
+    if isinstance(t, Variable):
+        if t.index != 1:
+            raise ValueError("term must be one-variable")
+        return tuple(g)
+    left, right = recursive_pb_eval_term(t.left, g), recursive_pb_eval_term(t.right, g)
+    return pb_star(left, right) if t.op == STAR else pb_circ(left, right)
 
 
 def x_projection(t):

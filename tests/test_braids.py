@@ -25,7 +25,13 @@ from aldbraid.braids import (
     render_braid,
 )
 from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
-from oracles import quotient_braid_equal, splice_braid_compare, splice_handle_reduce
+from oracles import (
+    quotient_braid_equal,
+    recursive_eval_star_braid,
+    splice_braid_compare,
+    splice_handle_reduce,
+    value_or_error,
+)
 
 B = parse_braid
 
@@ -302,6 +308,17 @@ def test_eval_star_braid():
     w = eval_star_braid(parse_term("(x*x)*x"), ())
     assert w == B("s1 s1 S2")
     assert braid_equal(w, handle_reduce(w))
+
+
+@pytest.mark.parametrize("n_vars", [1, 2])
+def test_eval_star_braid_matches_recursive_oracle(n_vars):
+    # every term of size <= 6 over * and ∘: the loop up the rightmost branch
+    # gives the recursion's word letter for letter, and raises where it raises
+    for t in enumerate_terms(n_vars, "*o", 6):
+        for g in ((), B("s1"), B("s2 S1")):
+            assert value_or_error(eval_star_braid, t, g) == value_or_error(
+                recursive_eval_star_braid, t, g
+            )
 
 
 def test_eval_star_braid_cache_is_bounded():

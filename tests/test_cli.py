@@ -95,26 +95,57 @@ def test_long_left_comb_decisions_exit_64(capsys):
         assert time.perf_counter() - start < 1, command
 
 
-def _deep_derived_terms():
-    # seven 150-leaf ∘-combs chained by *: the text nests 8 deep, but the
-    # one J entry is a right *-comb of 1,051 leaves
+def _deep_derived_term(leaf="x"):
+    # seven 150-leaf ∘-combs chained by *, ending in leaf: the text nests 8
+    # deep, but the one J entry is a right *-comb of 1,050 x's onto leaf
     comb = "(" + " o ".join(["x"] * 150) + ")"
-    return ("*(".join([comb] * 7) + tail + ")" * 6 for tail in ("*x", "*(x*x)"))
+    return "*(".join([comb] * 7) + f"*{leaf}" + ")" * 6
 
 
-def test_deeply_nested_derived_terms_exit_64(capsys):
-    t, t2 = _deep_derived_terms()
-    for argv in (
-        ["normalize", t],
-        ["decide-ald", t, t2],
-        ["order-ald", t, t2],
-        ["eval", t, "", "--closed-form"],
+def test_deeply_nested_derived_terms_get_verdicts(capsys):
+    # the J entries are deep only along their right spines, which the walks loop down
+    t, t2 = _deep_derived_term(), _deep_derived_term("(x*x)")
+    descending = [f"s{i}" for i in range(1050, 0, -1)]
+    comb = "*".join(["x1"] * 1051)
+    for argv, code, first in (
+        (["normalize", t], 0, f"special: {comb}"),
+        (["decide-ald", t, t2], 1, "not-equal"),
+        (["eval", t, "", "--closed-form"], 0, " ".join(descending)),
+        # the deep comb as a left operand: e*x evaluates to e · σ1 · sh(e)⁻¹
+        (["normalize", f"({t})*x"], 0, f"special: ({comb})*x1"),
+        (["decide-ald", f"({t})*x", f"({t})*(x*x)"], 1, "not-equal"),
+        (
+            ["eval", f"({t})*x", "", "--closed-form"],
+            0,
+            " ".join(descending + ["s1"] + [f"S{i}" for i in range(2, 1052)]),
+        ),
+        # one LD step at the root: C*(x1*x2) = (C*x1)*(C*x2)
+        (["decide-ald", f"({t})*(x1*x2)", f"(({t})*x1)*(({t})*x2)"], 0, "equal"),
     ):
         start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert code == 64 and out == "", argv[0]
-        assert err == "error: a term derived from the input is nested too deeply\n", argv[0]
+        got, out, err = run(capsys, *argv)
+        assert (got, err) == (code, ""), argv[0]
+        assert out.splitlines()[0] == first, argv[0]
         assert time.perf_counter() - start < 1, argv[0]
+    # outside the 1-s bound: nearly all of its time goes to handle reduction
+    # of the whole quotient in braid_compare
+    assert run(capsys, "order-ald", t, t2) == (0, "less\n", "")
+
+
+def test_deep_multi_variable_closure_exits_64(capsys):
+    # the J entries are LD-equal one step apart, at the bottom of a 1,050-deep
+    # right spine: x1*(x2*x2) = (x1*x2)*(x1*x2).  Their braids agree, and the
+    # closure's replace_at recurses once per level of a rewriting position.
+    # It stays recursive: looping it would let the closure search terms of
+    # thousands of leaves, where a pair more than a step apart meets the step
+    # cap only slowly (over a 20-leaf ∘-comb C, (C)*(x1*x2) against
+    # ((C)*x1)*((C)*x2) already takes about 40 s to answer "unknown").
+    a, b = _deep_derived_term("(x1*(x2*x2))"), _deep_derived_term("((x1*x2)*(x1*x2))")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide-ald", a, b)
+    assert code == 64 and out == ""
+    assert err == "error: a term derived from the input is nested too deeply\n"
+    assert time.perf_counter() - start < 10
 
 
 def _doubling_term():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aldbraid.cli import DEFAULT_GAMMAS
 from aldbraid.diagrams import word_eq_oracle
 from aldbraid.pbwords import (
     audit_derived_identities,
@@ -37,6 +38,7 @@ from aldbraid.terms import (
     star_chain,
     x_power,
 )
+from oracles import recursive_pb_eval_term, value_or_error
 
 W = parse_pb
 T = parse_term
@@ -70,6 +72,18 @@ def test_pb_eval_term():
     assert pb_eval_term(T("x*x"), W("s1")) == W("s1 s2 s1 S2")
     with pytest.raises(ValueError):
         pb_eval_term(T("x1*x2"), ())
+
+
+@pytest.mark.parametrize("n_vars", [1, 2])
+def test_pb_eval_term_matches_recursive_oracle(n_vars):
+    # every term of size <= 6: the same word letter for letter at each
+    # default word, and a ValueError exactly where the recursion raises one
+    gammas = [W(g) for g in DEFAULT_GAMMAS]
+    for t in enumerate_terms(n_vars, "*o", 6):
+        for g in gammas:
+            assert value_or_error(pb_eval_term, t, g) == value_or_error(
+                recursive_pb_eval_term, t, g
+            )
 
 
 def test_v_of_1():

@@ -32,14 +32,20 @@ from aldbraid.terms import (
     parse_term,
     random_term,
     render_term,
+    right_spine,
+    rightmost_variable,
     seq_sq,
     seq_star,
     size,
+    star_chain,
     substitute,
     variables,
     x_power,
 )
+from aldbraid.braids import eval_star_braid
+from aldbraid.invariants import inv_I
 from aldbraid.ldoracle import ld_closure
+from aldbraid.pbwords import blocks, pb_eval_term
 from oracles import (
     recursive_is_special,
     recursive_uses_only,
@@ -113,6 +119,28 @@ def test_ht_r():
     assert ht_r(T("(x*x) o x")) == 1
     assert ht_r(T("x*(x*x)")) == 2
     assert ht_r(T("(x o x)*x")) == 1
+
+
+def test_right_spine():
+    t = T("(x1 o x2)*(x3*(x4 o x5))")
+    assert right_spine(t) == ([t, t.right, t.right.right], T("x5"))
+    assert right_spine(X) == ([], X)
+
+
+def test_deep_right_combs_take_no_recursion_per_level():
+    # 2,000 leaves, twice the recursion limit: derived terms are deep only
+    # along the rightmost branch, and every walk below loops down it
+    n = 2_000
+    stars, circs = star_chain([X] * (n - 1), X), x_power(n)
+    assert render_term(stars) == "*".join(["x1"] * n)
+    assert render_term(circs) == " o ".join(["x1"] * n)
+    assert eval_star_braid(stars, ()) == tuple(range(n - 1, 0, -1))
+    assert pb_eval_term(stars, ()) == tuple(("s", i) for i in range(n - 1, 0, -1))
+    assert pb_eval_term(circs, ()) == tuple(("a", i) for i in range(n - 1, 0, -1))
+    assert inv_I(stars) == X and inv_I(circs) == circs
+    assert ht_r(stars) == ht_r(circs) == n - 1
+    assert rightmost_variable(star_chain([X] * (n - 1), Variable(2))) == 2
+    assert blocks(circs) == [X] * n
 
 
 # ---------------------------------------------------------------------------
