@@ -17,15 +17,15 @@ left-to-right stack pass that puts each rewritten interior back onto the
 letters still to read, so no reduction moves the rest of the word.
 The sign of a handle-free word decides the order: w1 < w2 iff w1⁻¹ w2
 reduces to a σ-positive word, which makes the order total, left-invariant,
-and compatible with equality.  A common prefix p of w1 = p·r1 and w2 = p·r2
-cancels from the quotient.  Equality alone needs less: p·r1·s = p·r2·s iff
-r1 = r2, so `braid_equal` cancels the common suffix too, and the quotient
-is trivial iff any conjugate of it is, so it strips the outer pairs
-x … x⁻¹ off the freely reduced r1⁻¹r2 and reduces only that core (w1 = w2
-iff the core reduces to the empty word).  Conjugation changes σ-signs
-(σ1σ2⁻¹ is σ-positive, its conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so the
-order keeps the suffix and reduces the whole quotient.  Where a hashable
-key is wanted, `braid_key` gives one: the braid's Dynnikov coordinates.
+and compatible with equality.  `handle_reduce` freely reduces its input
+first, so a common prefix of w1 and w2 cancels there.  Equality cuts one
+thing more, outside it: p·r1·s = p·r2·s iff r1 = r2, so `braid_equal`
+cancels the common prefix and suffix and reduces the quotient r1⁻¹r2 that
+is left (w1 = w2 iff it reduces to the empty word).  Cutting the suffix
+conjugates the quotient, which keeps its triviality but can change its
+σ-sign (σ1σ2⁻¹ is σ-positive, its conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so
+the order reduces the whole quotient w1⁻¹w2.  Where a hashable key is
+wanted, `braid_key` gives one: the braid's Dynnikov coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
@@ -155,13 +155,11 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
 def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
     """LESS/EQUAL/GREATER in the total order: w1 < w2 iff w1⁻¹w2 is σ-positive.
 
-    A common prefix p cancels first (w1 = p·r1, w2 = p·r2 give the same
-    quotient r1⁻¹r2); a common suffix does not, since cancelling it
-    conjugates the quotient, which can change its σ-sign.
+    A common prefix cancels in `handle_reduce`'s free reduction; a common
+    suffix stays, since cutting it conjugates the quotient, which can change
+    its σ-sign.
     """
-    w1, w2 = tuple(w1), tuple(w2)
-    p = _common_prefix(w1, w2)
-    r = handle_reduce(inverse(w1[p:]) + w2[p:])
+    r = handle_reduce(inverse(w1) + tuple(w2))
     if not r:
         return EQUAL
     m = min(abs(x) for x in r)
@@ -173,19 +171,11 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Whether w1 and w2 are the same braid.
 
     Cancels the longest common prefix p and suffix s first, since p·r1·s =
-    p·r2·s iff r1 = r2, for any words.  Then it strips every outer pair
-    q[i] = q[j]⁻¹ off the free reduction q of r1⁻¹r2, so q = u·c·u⁻¹, and
-    handle-reduces only the core c, which is trivial iff q is.
-    `braid_compare` keeps the suffix and the outer pairs: conjugation
-    changes σ-signs.
+    p·r2·s iff r1 = r2, for any words, then handle-reduces the quotient
+    r1⁻¹r2.  `braid_compare` keeps the suffix: conjugation changes σ-signs.
     """
     r1, r2 = cancel_common_ends(tuple(w1), tuple(w2))
-    q = free_reduce(inverse(r1) + r2)
-    i, j = 0, len(q)
-    while i < j and q[i] == -q[j - 1]:
-        i += 1
-        j -= 1
-    return not handle_reduce(q[i:j])
+    return not handle_reduce(inverse(r1) + r2)
 
 
 def cancel_common_ends(u: tuple, v: tuple) -> tuple[tuple, tuple]:

@@ -474,7 +474,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
     except RecursionError:
-        # the LD closure's rewriting positions run down J entries far deeper than MAX_DEPTH
+        # derived terms far deeper than MAX_DEPTH: the LD closure's rewriting
+        # positions, and the tree walks that reduce an `eval --diagram` result
         print("error: a term derived from the input is nested too deeply", file=sys.stderr)
         return EX_USAGE
 

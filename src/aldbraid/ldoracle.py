@@ -9,10 +9,11 @@ s ⊏ t forcing s < t.
 
 `decide_ld_bounded` is the one entry point for LD-equality: it answers a
 one-variable pair by equality of the two evaluations (`braid_equal`, which
-reduces only a conjugate of their quotient), EQUAL or NOT_EQUAL whatever
+reduces their quotient after the common ends), EQUAL or NOT_EQUAL whatever
 the caps, and `ld_class_key` is the matching class key.  The three-way
-comparison `decide_ld_1var` reduces the whole quotient: conjugation keeps
-triviality but not the σ-sign the order is read from.
+comparison `decide_ld_1var` reduces the whole quotient: cutting the common
+suffix conjugates it, which keeps triviality but not the σ-sign the order
+is read from.
 
 For terms with several variables only a bounded semi-decision is available
 here.  NOT_EQUAL comes from three sound tests: LD steps preserve the set of

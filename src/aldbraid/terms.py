@@ -164,10 +164,6 @@ class LawInstance:
         if self.direction not in (EXPAND, CONTRACT):
             raise ValueError(f"unknown direction {self.direction!r}")
 
-    def reversed(self) -> LawInstance:
-        other = CONTRACT if self.direction == EXPAND else EXPAND
-        return LawInstance(self.law, self.pos, other)
-
 
 #: Deepest nesting of operators and parentheses that parse_term accepts: the
 #: walks of parsed input and ∘-skeletons (inv_J, substitute, the tree helpers

@@ -46,11 +46,10 @@ loop up the rightmost branch and recurse only into left operands.
 reduction and splices the rewritten interior into the list, where
 `handle_reduce` reads the word once onto a stack; the two must agree
 letter for letter and in the number of reductions.  `splice_braid_compare`
-reads the order off its reduction of the whole quotient w1⁻¹w2, where
-`braid_compare` cancels the common prefix first, and
+reads the order off its reduction of the whole quotient w1⁻¹w2, the
+quotient `braid_compare` reduces by the stack pass, and
 `quotient_braid_equal` reads equality off that order, where `braid_equal`
-cancels the common prefix and suffix and reduces only the core left after
-stripping the outer conjugating pairs.
+cancels the common prefix and suffix and reduces the quotient left.
 `rewrite_redex` writes each law and direction out as its own `isinstance`
 branch, and `redex_law_instances` finds an instance by building the
 rewritten redex, where `apply_law` and `law_instances` match one table of

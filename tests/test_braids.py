@@ -95,12 +95,32 @@ def test_handle_reduce_matches_the_splice_oracle_on_random_words():
         v = random_word(rng, rng.randint(0, 20), 6)
         assert braid_compare(w, v) == splice_braid_compare(w, v), (w, v)
     assert reductions > 10_000
+    # p·r1·s against p·r2·s with p of hundreds of letters, which braid_compare
+    # leaves to handle_reduce's free reduction, in both argument orders
+    verdicts = []
+    for _ in range(40):
+        p = random_word(rng, rng.randint(200, 400))
+        s = random_word(rng, rng.randint(0, 12))
+        r = random_word(rng, rng.randint(0, 12))
+        pairs = [
+            (p + r + s, p + _equal_variant(rng, r) + s),
+            (p + r + s, p + random_word(rng, rng.randint(0, 12)) + s),
+            (p + r + inverse(r), p),
+            (p, p + r),
+            (p + r, p + r + random_word(rng, rng.randint(0, 12))),
+        ]
+        for a, b in pairs:
+            for w, v in ((a, b), (b, a)):
+                verdict = braid_compare(w, v)
+                assert verdict == splice_braid_compare(w, v), (w, v)
+                verdicts.append(verdict)
+    assert min(verdicts.count(c) for c in (LESS, EQUAL, GREATER)) > 80
 
 
 def test_handle_reduce_matches_the_splice_oracle_on_left_comb_cores():
-    # the cores braid_equal reduces for L * (a * b) against (L * a) * (L * b),
-    # L a left comb of 9-12 leaves, and the whole quotients braid_compare
-    # reduces for the smaller combs
+    # the quotients of L * (a * b) against (L * a) * (L * b), L a left comb of
+    # 9-12 leaves, with their outer conjugating pairs stripped, and the whole
+    # quotients braid_compare reduces for the smaller combs
     for n in range(9, 13):
         for lhs, rhs, _ in _left_comb_pairs(n, ("x", "x*x")):
             q = free_reduce(inverse(lhs) + rhs)
@@ -177,8 +197,8 @@ def test_braid_equal_matches_the_whole_quotient_oracle():
 def test_braid_equal_on_left_comb_expansions():
     # L * (a * b) against its root LD-expansion (L * a) * (L * b), which is
     # LD-equal, and against (L * a) * (L * (b * x)), which is not: both
-    # quotients start and end in a conjugating pair, so the stripping fires
-    # on both verdicts
+    # quotients start and end in a conjugating pair, which braid_equal
+    # reduces with the rest
     for n in range(2, 14):
         for lhs, rhs, equal in _left_comb_pairs(n):
             q = free_reduce(inverse(lhs) + rhs)

@@ -148,6 +148,20 @@ def test_deep_multi_variable_closure_exits_64(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_deep_derived_term_diagram_evaluation_exits_64(capsys):
+    # the evaluation's trees are reduced by recursive walks
+    # (diagrams._sibling_pairs), which overflow on this term's trees; the
+    # word evaluations of the same term loop and answer
+    t = _deep_derived_term()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", t, "", "--diagram")
+    assert code == 64 and out == ""
+    assert err == "error: a term derived from the input is nested too deeply\n"
+    assert time.perf_counter() - start < 1
+    for mode in ("--recursive", "--closed-form"):
+        assert run(capsys, "eval", t, "", mode)[0] == 0, mode
+
+
 def _doubling_term():
     # 26 times t -> (t)*(x o x): 267 characters, but the J entries have
     # 2^27 - 1 leaves, and 2^28 - 1 in (E)*x
