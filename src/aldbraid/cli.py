@@ -74,8 +74,8 @@ EX_USAGE = 64
 DEFAULT_GAMMAS = ("", "s1", "a1", "s1 a2")
 
 #: Largest term size a freeness scan accepts.  Size 10 has 2^9·C9 = 2,489,344
-#: terms, projected at about 8 GiB and 5 minutes per word: a one-word scan
-#: grew 7.0-fold in memory and 7.4-fold in time from size 8 to size 9 (41 s,
+#: terms, projected at about 8 GiB and 3 minutes per word: a one-word scan
+#: grew 7.0-fold in memory and 7.5-fold in time from size 8 to size 9 (26 s,
 #: 1.2 GiB on 2 cores); size 11 has 2^10·C10 = 17,199,104, about seven
 #: times as many.
 MAX_SCAN_SIZE = 10

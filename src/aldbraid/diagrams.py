@@ -43,7 +43,7 @@ from .braids import (
     render_braid,
 )
 from .pbwords import PBWord, pb_free_reduce
-from .terms import CIRC, MAX_DEPTH, Compound, Term, Variable, X, size, substitute, x_power
+from .terms import CIRC, MAX_DEPTH, STAR, Compound, Term, Variable, X, size, substitute, x_power
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +81,13 @@ def _tree_node(text: str, pos: int, depth: int) -> tuple[Term, int]:
     raise ValueError(f"bad tree pattern at {pos} in {text!r}")
 
 
-#: Entries each node-keyed tree cache keeps.  Trees are interned terms, so a
-#: lookup hashes and compares its arguments in O(1).  A one-word size-6
-#: freeness scan makes at most 402 distinct keys per cache; a one-word size-7
-#: evaluation makes up to 2,790 and evicts, but still hits over 90%.
+#: Entries each node-keyed tree cache keeps, and each of the two refinement
+#: caches of `diagram_multiply`, keyed on a diagram and a tree.  Trees are
+#: interned terms, so a tree lookup hashes and compares its arguments in
+#: O(1).  A one-word size-6 freeness scan makes at most 815 distinct keys per
+#: cache (697 per tree cache); a one-word size-7 evaluation makes up to 4,206
+#: (1,750 per tree cache) and evicts, but each cache still hits at least 58%
+#: of its lookups (each tree cache at least 78%).
 TREE_CACHE_SIZE = 1024
 
 
@@ -360,31 +363,45 @@ def diagram_reduce(d: PBDiagram, rng: random.Random | None = None) -> PBDiagram:
             return d
 
 
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _refine_dom_side(d: PBDiagram, middle: Term) -> tuple[Term, BraidWord]:
+    """The dom and braid of d refined until its cod is `middle`; d's strands
+    rank by their cod leaf, as in a leftmost-first refinement one caret at a
+    time.  Cached on the diagram, as `_times_letter` is: a frozen PBDiagram
+    hashes and compares on exactly (dom, braid, cod)."""
+    perm = d.permutation
+    below = _leaf_subtrees(d.cod, middle)
+    # the graft keys are tuples built from lists, not from generators:
+    # CPython grows a tuple built from a generator from 10 slots, and such
+    # tuples, once freed, pile up in its per-length free lists (1 MiB more
+    # peak memory in the word-model checks)
+    top = tuple([below[q - 1] for q in perm])
+    return _graft(d.dom, top), _cable(d.braid, [t.size for t in top], perm)
+
+
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _refine_cod_side(d: PBDiagram, middle: Term) -> tuple[Term, BraidWord]:
+    """The cod and braid of d refined until its dom is `middle`; d's strands
+    rank by their dom leaf.  Cached as `_refine_dom_side` is."""
+    above = _leaf_subtrees(d.dom, middle)
+    bottom = tuple([above[k] for k in sorted(range(d.strands), key=d.permutation.__getitem__)])
+    return _graft(d.cod, bottom), _cable(d.braid, [t.size for t in above], range(d.strands))
+
+
 def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
     """Stack d2 below d1, refining each side to the middle tree in one pass.
-    d1's strands rank by their cod leaf and d2's by their dom leaf, as in a
-    leftmost-first refinement one caret at a time.  A side whose tree already
-    is the middle tree keeps its tree and braid as they are."""
+    A side whose tree already is the middle tree keeps its tree and braid as
+    they are; the others come from bounded caches, since term evaluation
+    and `word_to_diagram` meet the same operands again and again."""
     middle = tree_join(d1.cod, d2.dom)
     if middle is d1.cod:
         dom, braid1 = d1.dom, d1.braid
     else:
-        perm1 = d1.permutation
-        below = _leaf_subtrees(d1.cod, middle)
-        # the graft keys are tuples built from lists, not from generators:
-        # CPython grows a tuple built from a generator from 10 slots, and such
-        # tuples, once freed, pile up in its per-length free lists (1 MiB more
-        # peak memory in the word-model checks)
-        top = tuple([below[q - 1] for q in perm1])
-        dom, braid1 = _graft(d1.dom, top), _cable(d1.braid, [t.size for t in top], perm1)
+        dom, braid1 = _refine_dom_side(d1, middle)
     if middle is d2.dom:
         cod, braid2 = d2.cod, d2.braid
     else:
-        perm2 = d2.permutation
-        above = _leaf_subtrees(d2.dom, middle)
-        bottom = tuple([above[k] for k in sorted(range(d2.strands), key=perm2.__getitem__)])
-        cod = _graft(d2.cod, bottom)
-        braid2 = _cable(d2.braid, [t.size for t in above], range(d2.strands))
+        cod, braid2 = _refine_cod_side(d2, middle)
     braid = free_reduce(braid1 + braid2)
     return diagram_reduce(_diagram(dom, braid, cod, permutation(braid, middle.size)))
 
@@ -471,16 +488,21 @@ def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
 # Structural evaluation of terms in the model
 
 
+#: a1⁻¹ · σ1, the left part of the right factor G(b) of b * c
+_A1_INV_SIGMA1 = diagram_multiply(_letter_diagram("a", -1), _letter_diagram("s", 1))
+
+
 def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDiagram:
     """Evaluate a one-variable term at the diagram g; memoizes subterms.
 
-    b ∘ c = (b · sh(c)) · a1 and b * c = (b · sh(c)) · (σ1 · sh(b)⁻¹) both
-    begin with the product b · sh(c), so the first of the two to be
-    evaluated leaves it in the cache under (b's term, c's term) and the
-    second pops it.  The right factor σ1 · sh(b)⁻¹ of b * c depends on b
-    alone and stays in the cache under (b's term,), so each term pair costs
-    three products, not four.  Every product ends in `diagram_reduce`, so
-    the evaluations of a reduced g, such as those of `word_to_diagram`, are
+    b ∘ c = b · H(c) with H(c) = sh(c) · a1, and b * c = (b ∘ c) · G(b) with
+    G(b) = (a1⁻¹ · σ1) · sh(b)⁻¹, since b * c = b · sh(c) · σ1 · sh(b)⁻¹ and
+    products are associative.  H(c) stays in the cache under (CIRC, c) and
+    G(b) under (STAR, b), and b * c takes b ∘ c from the cache under its
+    term, so each term pair costs two products, plus one per distinct right
+    operand and one per distinct left operand of a `*`; a1⁻¹ · σ1 is built
+    once, at import.  Every product ends in `diagram_reduce`, so the
+    evaluations of a reduced g, such as those of `word_to_diagram`, are
     reduced too."""
     if _cache is None:
         _cache = {}
@@ -493,19 +515,21 @@ def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDi
     else:
         left = diagram_eval_term(t.left, g, _cache)
         right = diagram_eval_term(t.right, g, _cache)
-        pair = (t.left, t.right)
-        product = _cache.pop(pair, None)
-        if product is None:
-            product = _cache[pair] = diagram_multiply(left, diagram_shift(right))
-        if t.op == "*":
-            key = (t.left,)
-            factor = _cache.get(key)
-            if factor is None:
-                factor = _cache[key] = diagram_multiply(
-                    _letter_diagram("s", 1), diagram_inverse(diagram_shift(left))
+        circ = t if t.op == CIRC else Compound(CIRC, t.left, t.right)
+        result = _cache.get(circ)
+        if result is None:
+            h = _cache.get((CIRC, t.right))
+            if h is None:
+                h = _cache[CIRC, t.right] = diagram_multiply(
+                    diagram_shift(right), _letter_diagram("a", 1)
                 )
-            result = diagram_multiply(product, factor)
-        else:
-            result = diagram_multiply(product, _letter_diagram("a", 1))
+            result = _cache[circ] = diagram_multiply(left, h)
+        if t.op == STAR:
+            gb = _cache.get((STAR, t.left))
+            if gb is None:
+                gb = _cache[STAR, t.left] = diagram_multiply(
+                    _A1_INV_SIGMA1, diagram_inverse(diagram_shift(left))
+                )
+            result = diagram_multiply(result, gb)
     _cache[t] = result
     return result

@@ -11,11 +11,13 @@ interned; `struct_eval_diagram` memoizes on them, and the differential test
 runs it without the node-keyed tree caches of `diagrams`, through
 `diagram_star` and `diagram_circ`, which compute b · sh(c) once per
 operation and b * c as ((b · sh(c)) · σ1) · sh(b)⁻¹, four products in all,
-where `diagram_eval_term` shares b · sh(c) between b * c and b ∘ c and
-computes b * c as (b · sh(c)) · (σ1 · sh(b)⁻¹) with one right factor per
-left operand, three products per term pair; the two must agree letter for
-letter.  `struct_inv_I` and `struct_inv_J` recompute the invariants that
-`inv_I` and `inv_J` cache on each node.
+where `diagram_eval_term` computes b ∘ c as b · (sh(c) · a1) and b * c as
+(b ∘ c) · ((a1⁻¹ · σ1) · sh(b)⁻¹), with one right factor per right operand
+and one per left operand of a `*`, two products per term pair; the two
+must agree letter for letter up to size 6, and at size 7 in trees and in
+the Dynnikov key of the braid, since there the regrouped products print a
+different braid word for some terms.  `struct_inv_I` and `struct_inv_J`
+recompute the invariants that `inv_I` and `inv_J` cache on each node.
 `word_to_diagram_by_letters` multiplies by one generator diagram per letter
 with no step cache, which `word_to_diagram` must reproduce exactly.
 `word_eq_by_diagrams` compares the diagrams of the two whole words, where

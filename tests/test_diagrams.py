@@ -21,7 +21,7 @@ from aldbraid.diagrams import (
     word_to_diagram,
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
-from aldbraid.terms import MAX_DEPTH, enumerate_terms, parse_term, size, x_power
+from aldbraid.terms import MAX_DEPTH, STAR, Compound, enumerate_terms, parse_term, size, x_power
 from oracles import multiply_by_splitting, word_eq_by_diagrams, word_to_diagram_by_letters
 
 W = parse_pb
@@ -160,12 +160,32 @@ def test_multiply_matches_caret_by_caret_refinement_in_term_evaluation(monkeypat
     assert len(operands) > 2_000
     for d1, d2 in operands:
         assert multiply(d1, d2) == multiply_by_splitting(d1, d2)
-    # among them the right factors σ1 · sh(b)⁻¹ of b * c, and the products
-    # (b · sh(c)) · (σ1 · sh(b)⁻¹) that finish it
-    sigma1 = diagrams._letter_diagram("s", 1)
-    factors = {multiply(d1, d2) for d1, d2 in operands if d1 == sigma1}
+    # among them the right factors G(b) = (a1⁻¹ · σ1) · sh(b)⁻¹ of b * c, and
+    # the products (b ∘ c) · G(b) that finish it
+    lead = multiply(diagram_inverse(gen_a(1)), gen_sigma(1))
+    factors = {multiply(d1, d2) for d1, d2 in operands if d1 == lead}
     assert factors
     assert any(d2 in factors for _, d2 in operands)
+
+
+def test_term_evaluation_makes_two_products_per_term_pair(monkeypatch):
+    # b ∘ c = b · H(c) and b * c = (b ∘ c) · G(b), with H(c) = sh(c) · a1 made
+    # once per right operand and G(b) = (a1⁻¹ · σ1) · sh(b)⁻¹ once per left
+    # operand of a `*`
+    ts = list(enumerate_terms(1, "*o", 6))
+    compounds = [t for t in ts if isinstance(t, Compound)]
+    pairs = {(t.left, t.right) for t in compounds}
+    rights = {t.right for t in compounds}
+    star_lefts = {t.left for t in compounds if t.op == STAR}
+    g = word_to_diagram(W("s1 a2"))
+    multiply, calls = diagrams.diagram_multiply, []
+    monkeypatch.setattr(
+        diagrams, "diagram_multiply", lambda d1, d2: calls.append(d1) or multiply(d1, d2)
+    )
+    _evaluate_all(g, 6)
+    monkeypatch.undo()
+    assert len(pairs) > 800
+    assert len(calls) == 2 * len(pairs) + len(rights) + len(star_lefts)
 
 
 def test_private_constructor_matches_public_one(monkeypatch):
