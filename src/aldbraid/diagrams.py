@@ -20,9 +20,12 @@ back unchanged up to braid equality.
 The generators: σ_i crosses leaves i and i+1 of a right comb with i+2
 leaves; a_i regroups a right comb with i+2 leaves into the comb with i+1
 leaves whose i-th leaf carries one extra caret, with no crossings at all.
-Trees are represented as one-variable ∘-terms; a tree serializes as a
+Trees are represented as one-variable ∘-terms; a tree prints as a
 parenthesized leaf pattern like `(x(xx))`, a diagram as
 {"dom": ..., "braid": ..., "cod": ...} with the braid in `s<i>`/`S<i>` text.
+
+Every diagram holds a freely reduced braid word: the constructor validates
+the braid it is given, then stores its free reduction.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .braids import (
     cancel_common_ends,
     free_reduce,
     inverse,
-    parse_braid,
     permutation,
     render_braid,
 )
@@ -54,31 +56,6 @@ def tree_pattern(t: Term) -> str:
     if isinstance(t, Variable):
         return "x"
     return f"({tree_pattern(t.left)}{tree_pattern(t.right)})"
-
-
-def parse_tree_pattern(text: str) -> Term:
-    """The tree written as in `tree_pattern`; like `parse_term`, it refuses
-    nesting deeper than MAX_DEPTH with a ValueError."""
-    t, pos = _tree_node(text, 0, 0)
-    if pos != len(text):
-        raise ValueError(f"trailing input at {pos} in {text!r}")
-    return t
-
-
-def _tree_node(text: str, pos: int, depth: int) -> tuple[Term, int]:
-    """The tree starting at pos, and the position after it; a module-level
-    function, as are the tree walks below."""
-    if pos < len(text) and text[pos] == "x":
-        return X, pos + 1
-    if pos < len(text) and text[pos] == "(":
-        if depth >= MAX_DEPTH:
-            raise ValueError(f"tree nested deeper than {MAX_DEPTH} at {pos}")
-        left, pos = _tree_node(text, pos + 1, depth + 1)
-        right, pos = _tree_node(text, pos, depth + 1)
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"expected ')' at {pos} in {text!r}")
-        return Compound(CIRC, left, right), pos + 1
-    raise ValueError(f"bad tree pattern at {pos} in {text!r}")
 
 
 #: Entries each node-keyed tree cache keeps, and each of the two refinement
@@ -192,6 +169,7 @@ class PBDiagram:
             raise ValueError("dom and cod must have the same number of leaves")
         if 0 in self.braid or max(map(abs, self.braid), default=0) >= n:
             raise ValueError("braid indices must lie in [1, n-1]")
+        object.__setattr__(self, "braid", free_reduce(self.braid))
         object.__setattr__(self, "strands", n)
         object.__setattr__(self, "permutation", permutation(self.braid, n))
 
@@ -202,14 +180,6 @@ class PBDiagram:
             "cod": tree_pattern(self.cod),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> PBDiagram:
-        return cls(
-            parse_tree_pattern(data["dom"]),
-            parse_braid(data["braid"]),
-            parse_tree_pattern(data["cod"]),
-        )
-
 
 _set = object.__setattr__
 
@@ -218,7 +188,8 @@ def _diagram(dom: Term, braid: BraidWord, cod: Term, perm: tuple[int, ...]) -> P
     """A PBDiagram from parts its caller has already checked, with the
     permutation its caller already knows: products, shifts and inverses
     build their results here, without the public `__post_init__`.  Only the
-    leaf counts are compared again, which is O(1) on interned trees."""
+    leaf counts are compared again, which is O(1) on interned trees.  The
+    braid must be freely reduced, as products, inverses and shifts make it."""
     n = len(perm)
     if dom.size != n or cod.size != n:
         raise ValueError("dom, cod and permutation must have the same number of leaves")
@@ -314,26 +285,17 @@ def _remove_strand(braid: BraidWord, k: int) -> BraidWord:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReductionSite:
-    """Candidate caret cancellation: dom leaves (dom_pair, dom_pair+1) whose
-    strands end on the cod leaves (cod_pair, cod_pair+1)."""
-
-    dom_pair: int
-    cod_pair: int
-
-
-def reduction_sites(d: PBDiagram) -> list[ReductionSite]:
-    """Sites whose leaf pairs are siblings on both sides and matched by the
-    braid's permutation; whether a site actually cancels is decided
-    semantically by merge-and-resplit."""
+def reduction_sites(d: PBDiagram) -> list[tuple[int, int]]:
+    """Candidate caret cancellations (p, q): dom leaves (p, p+1) that are
+    siblings, whose strands end on the sibling cod leaves (q, q+1); whether
+    a site actually cancels is decided semantically by merge-and-resplit."""
     perm = d.permutation
     cod_pairs = set(sibling_leaf_pairs(d.cod))
     out = []
     for p in sibling_leaf_pairs(d.dom):
         q = min(perm[p - 1], perm[p])
         if abs(perm[p - 1] - perm[p]) == 1 and q in cod_pairs:
-            out.append(ReductionSite(p, q))
+            out.append((p, q))
     return out
 
 
@@ -349,8 +311,7 @@ def diagram_reduce(d: PBDiagram, rng: random.Random | None = None) -> PBDiagram:
         candidates = reduction_sites(d)
         if rng is not None:
             rng.shuffle(candidates)
-        for site in candidates:
-            p, q = site.dom_pair, site.cod_pair
+        for p, q in candidates:
             merged = PBDiagram(
                 collapse_caret(d.dom, p),
                 _remove_strand(d.braid, p),

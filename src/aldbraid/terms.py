@@ -345,10 +345,7 @@ def substitute(v: Term, ts: TermSeq) -> Term:
         raise ValueError("skeleton must be a one-variable ∘-term")
     if size(v) != len(ts):
         raise ValueError(f"need {size(v)} terms, got {len(ts)}")
-
-    result, used = _substitute(v, ts, 0)
-    assert used == len(ts)
-    return result
+    return _substitute(v, ts, 0)[0]
 
 
 def _substitute(node: Term, ts: TermSeq, k: int) -> tuple[Term, int]:

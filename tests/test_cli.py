@@ -7,6 +7,7 @@ import pytest
 from aldbraid.cli import (
     DEFAULT_GAMMAS,
     MAX_SCAN_SIZE,
+    MAX_Z_SAMPLES,
     ExperimentConfig,
     _critical_pairs,
     _equality_labels,
@@ -321,6 +322,15 @@ def test_eval_modes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"dom", "braid", "cod"}
+    # caret cancellation in its products brings s3 S2 next to s2 S3; the
+    # printed braid is freely reduced
+    code, out, _ = run(capsys, "eval", "--diagram", "((x1*x1*x1)*x1) o (x1 o x1)*x1", "s1")
+    assert code == 0
+    assert json.loads(out) == {
+        "dom": "(x(x(x(xx))))",
+        "braid": "s1 s2 s3 s2 S3 s1 s1",
+        "cod": "((xx)(x(xx)))",
+    }
 
 
 def test_eval_closed_form_agrees_with_recursive(capsys):
@@ -367,12 +377,15 @@ def test_verify_relations_rejects_vacuous_configs(capsys):
         dict(relation_index_cap=1),
         dict(relation_index_cap=MAX_DEPTH - 2),
         dict(z_sample_count=1),
+        dict(z_sample_count=MAX_Z_SAMPLES + 1),
         dict(max_term_size=MAX_SCAN_SIZE + 1),
         dict(max_term_size=4, gamma_samples=()),
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    ExperimentConfig(relation_index_cap=MAX_DEPTH - 3, max_term_size=MAX_SCAN_SIZE)
+    ExperimentConfig(
+        relation_index_cap=MAX_DEPTH - 3, max_term_size=MAX_SCAN_SIZE, z_sample_count=MAX_Z_SAMPLES
+    )
     # the largest cap's shift relations use the largest letter the model takes
     rels = relation_instances(MAX_DEPTH - 3)
     top = max(index for rel in rels for _, index in rel.lhs + rel.rhs)
@@ -380,6 +393,18 @@ def test_verify_relations_rejects_vacuous_configs(capsys):
     gen_sigma(top), gen_a(top)
     with pytest.raises(ValueError):
         gen_sigma(top + 1)
+
+
+def test_verify_relations_refuses_a_huge_sample_count(capsys, monkeypatch):
+    # refused before any sample is drawn: 10^8 samples would need about
+    # 250 GiB, so the audit must not even start
+    def audit(config):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr("aldbraid.cli.relation_audit", audit)
+    code, out, err = run(capsys, "verify-relations", "--samples", str(10**8))
+    assert code == 64
+    assert out == "" and str(MAX_Z_SAMPLES) in err
 
 
 def test_freeness_scan_small(capsys):

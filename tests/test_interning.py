@@ -176,7 +176,6 @@ def test_recursive_helpers_leave_no_reference_cycles():
         diagrams._leaf_subtrees(skeleton, special)
         diagrams.sibling_leaf_pairs(special)
         diagrams.collapse_caret(skeleton, 3)
-        diagrams.parse_tree_pattern("((xx)(xx))")
         parse_term("x1*((x2*x3) o x4)")
         derive_special(Compound(STAR, special, special))
         list(law_instances(Compound(STAR, X, special)))
