@@ -14,18 +14,27 @@ sequence terminates, and a handle-free word is empty or has its lowest-index
 generator occurring with a single sign (σ-positive or σ-negative).
 `handle_reduce` always reduces the leftmost-closing handle, in one
 left-to-right stack pass that puts each rewritten interior back onto the
-letters still to read, so no reduction moves the rest of the word.
+letters still to read, so no reduction moves the rest of the word; its
+look-back for the nearest letter of index <= i follows skip pointers over
+runs of higher indices, so a word over many indices costs no quadratic scan.
 The sign of a handle-free word decides the order: w1 < w2 iff w1⁻¹ w2
 reduces to a σ-positive word, which makes the order total, left-invariant,
-and compatible with equality.  `handle_reduce` freely reduces its input
-first, so a common prefix of w1 and w2 cancels there.  Equality cuts one
-thing more, outside it: p·r1·s = p·r2·s iff r1 = r2, so `braid_equal`
-cancels the common prefix and suffix and reduces the quotient r1⁻¹r2 that
-is left (w1 = w2 iff it reduces to the empty word).  Cutting the suffix
-conjugates the quotient, which keeps its triviality but can change its
-σ-sign (σ1σ2⁻¹ is σ-positive, its conjugate σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so
-the order reduces the whole quotient w1⁻¹w2.  Where a hashable key is
-wanted, `braid_key` gives one: the braid's Dynnikov coordinates.
+and compatible with equality.  Equality cuts one thing more: p·r1·s =
+p·r2·s iff r1 = r2, so `braid_equal` cancels the common prefix and suffix
+and reduces the quotient r1⁻¹r2 that is left (w1 = w2 iff it reduces to the
+empty word).  Cutting the suffix conjugates the quotient, which keeps its
+triviality but can change its σ-sign (σ1σ2⁻¹ is σ-positive, its conjugate
+σ1·σ1σ2⁻¹·σ1⁻¹ σ-negative), so the order reduces the whole quotient w1⁻¹w2.
+Both first shorten their quotient by `cancel_far_commuting`, one O(1) step
+a letter: it cancels x against an earlier x⁻¹ when every letter between has
+an index at least 2 away from x's, which is sound by the relation σ_iσ_j =
+σ_jσ_i for |i - j| >= 2, and it subsumes free reduction, so a common prefix
+of w1 and w2 cancels there.  The sign the order reads survives it: every
+nontrivial braid is exactly one of σ-positive and σ-negative, so all its
+handle-free words have the same sign.  On a conjugate u⁻¹·v·u whose
+conjugator's indices stay 2 away from v's it cancels u at once.  Where a
+hashable key is wanted, `braid_key` gives one: the braid's Dynnikov
+coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
@@ -114,21 +123,32 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     rewritten.  Every reduction is thus the leftmost-closing one, as in a
     rescan from the handle's start.
 
+    The look-back follows skip pointers: `below[p]` is the nearest position
+    under p whose letter has a smaller index than done[p], so every letter
+    strictly between the two has index >= that of done[p], and a look-back
+    for index i that meets done[p] above i jumps straight to below[p].  A
+    pushed letter takes its pointer from the position its own look-back
+    found: that position, or its pointer when it holds x itself.  Pointers
+    only point down, so cutting `done` at a handle keeps every remaining
+    pointer valid.  Without them, each look-back walks letter by letter, and
+    a word over many indices costs time quadratic in its length.
+
     The step cap is a defect detector only: handle reduction terminates, so
     hitting the cap raises HandleReductionDefect, never a weaker answer.
     """
     done: list[int] = []
+    below: list[int] = []
     todo = list(free_reduce(w)[::-1])
-    push = done.append
     steps = 0
     while todo:
         x = todo.pop()
         i = x if x > 0 else -x
         j = len(done) - 1
         while j >= 0 and (done[j] > i or done[j] < -i):
-            j -= 1
+            j = below[j]
         if j < 0 or done[j] != -x:  # no handle closes at x
-            push(x)
+            below.append(below[j] if j >= 0 and done[j] == x else j)
+            done.append(x)
             continue
         steps += 1
         if steps > step_cap:
@@ -144,7 +164,7 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
                 todo += (up, -i, -up)
             else:
                 todo.append(z)
-        del done[j:]
+        del done[j:], below[j:]
     if done:
         m = min(map(abs, done))
         if m in done and -m in done:
@@ -152,14 +172,43 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     return tuple(done)
 
 
+def cancel_far_commuting(w: BraidWord) -> BraidWord:
+    """w with each letter x cancelled against the last live x⁻¹ before it
+    whenever no live letter between the two has an index within 1 of x's.
+
+    The letters between commute with x (σ_iσ_j = σ_jσ_i for |i - j| >= 2),
+    so the result is the same braid; it is a subsequence of w, freely
+    reduced, with no such pair left.  `last[i]` is the position in `out` of
+    the last live letter of index i and `prev[p]` that of the live letter of
+    index |out[p]| before p, so each letter costs O(1); a cancelled letter
+    stays in `out` as a tombstone 0.
+    """
+    out: list[int] = []
+    prev: list[int] = []
+    last = [-1] * (max(max(w, default=0), -min(w, default=0)) + 2)
+    for x in w:
+        i = x if x > 0 else -x
+        p = last[i]
+        if p < 0 or out[p] != -x or p < last[i - 1] or p < last[i + 1]:
+            last[i] = len(out)
+            out.append(x)
+            prev.append(p)
+        else:
+            last[i] = prev[p]
+            out[p] = 0
+    return tuple(filter(None, out))
+
+
 def braid_compare(w1: BraidWord, w2: BraidWord) -> int:
     """LESS/EQUAL/GREATER in the total order: w1 < w2 iff w1⁻¹w2 is σ-positive.
 
-    A common prefix cancels in `handle_reduce`'s free reduction; a common
-    suffix stays, since cutting it conjugates the quotient, which can change
-    its σ-sign.
+    The quotient goes through `cancel_far_commuting` first, then
+    `handle_reduce`.  Every nontrivial braid is exactly one of σ-positive
+    and σ-negative, so any equivalent word that is handle-free has the same
+    sign.  A common suffix stays, since cutting it conjugates the quotient,
+    which can change its σ-sign.
     """
-    r = handle_reduce(inverse(w1) + tuple(w2))
+    r = handle_reduce(cancel_far_commuting(inverse(w1) + tuple(w2)))
     if not r:
         return EQUAL
     m = min(abs(x) for x in r)
@@ -172,10 +221,11 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
     Cancels the longest common prefix p and suffix s first, since p·r1·s =
     p·r2·s iff r1 = r2, for any words, then handle-reduces the quotient
-    r1⁻¹r2.  `braid_compare` keeps the suffix: conjugation changes σ-signs.
+    r1⁻¹r2 after `cancel_far_commuting`.  `braid_compare` keeps the suffix:
+    conjugation changes σ-signs.
     """
     r1, r2 = cancel_common_ends(tuple(w1), tuple(w2))
-    return not handle_reduce(inverse(r1) + r2)
+    return not handle_reduce(cancel_far_commuting(inverse(r1) + r2))
 
 
 def cancel_common_ends(u: tuple, v: tuple) -> tuple[tuple, tuple]:

@@ -47,11 +47,15 @@ loop up the rightmost branch and recurse only into left operands.
 `splice_handle_reduce` rescans for the leftmost-closing handle after each
 reduction and splices the rewritten interior into the list, where
 `handle_reduce` reads the word once onto a stack; the two must agree
-letter for letter and in the number of reductions.  `splice_braid_compare`
-reads the order off its reduction of the whole quotient w1⁻¹w2, the
-quotient `braid_compare` reduces by the stack pass, and
-`quotient_braid_equal` reads equality off that order, where `braid_equal`
-cancels the common prefix and suffix and reduces the quotient left.
+letter for letter and in the number of reductions.  `scan_handle_reduce`
+is that stack pass with a plain look-back, which walks the stack down letter
+by letter, where `handle_reduce` jumps along skip pointers; the two must
+agree in the same way.  `splice_braid_compare`
+reads the order off its reduction of the whole quotient w1⁻¹w2, which
+`braid_compare` first shortens by `cancel_far_commuting` and then reduces by
+the stack pass, and `quotient_braid_equal` reads equality off that order,
+where `braid_equal` cancels the common prefix and suffix and then reduces
+what is left of the quotient in the same two steps.
 `rewrite_redex` writes each law and direction out as its own `isinstance`
 branch, and `redex_law_instances` finds an instance by building the
 rewritten redex, where `apply_law` and `law_instances` match one table of
@@ -245,6 +249,39 @@ def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
         # The prefix before j is unchanged and contained no closing letter.
         start = j
     return tuple(word), steps
+
+
+def scan_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
+    """(handle-free word, number of reductions), by `handle_reduce`'s stack
+    pass with a plain look-back: each letter scans the stack down, letter by
+    letter, to the nearest letter of index <= its own.  More than step_cap
+    reductions raise HandleReductionDefect."""
+    done: list = []
+    todo = list(free_reduce(w)[::-1])
+    steps = 0
+    while todo:
+        x = todo.pop()
+        i = abs(x)
+        j = len(done) - 1
+        while j >= 0 and abs(done[j]) > i:
+            j -= 1
+        if j < 0 or done[j] != -x:
+            done.append(x)
+            continue
+        steps += 1
+        if steps > step_cap:
+            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
+        h = i + 1
+        up = -h if x > 0 else h
+        for z in reversed(done[j + 1 :]):
+            if z == h:
+                todo += (up, i, -up)
+            elif z == -h:
+                todo += (up, -i, -up)
+            else:
+                todo.append(z)
+        del done[j:]
+    return tuple(done), steps
 
 
 def splice_braid_compare(w1, w2) -> int:

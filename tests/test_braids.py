@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import os
 import random
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import pytest
 
+from aldbraid import ldoracle
 from aldbraid.braids import (
     EQUAL,
     GREATER,
@@ -15,6 +18,8 @@ from aldbraid.braids import (
     braid_key,
     braid_ld,
     braid_shift,
+    cancel_common_ends,
+    cancel_far_commuting,
     eval_star_braid,
     exponent_sum,
     free_reduce,
@@ -24,10 +29,12 @@ from aldbraid.braids import (
     permutation,
     render_braid,
 )
+from aldbraid.invariants import decide_ald
 from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
 from oracles import (
     quotient_braid_equal,
     recursive_eval_star_braid,
+    scan_handle_reduce,
     splice_braid_compare,
     splice_handle_reduce,
     value_or_error,
@@ -89,6 +96,7 @@ def test_handle_reduce_matches_the_splice_oracle_on_random_words():
     for _ in range(3_000):
         w = random_word(rng, rng.randint(0, 40), rng.randint(1, 6))
         expected, k = splice_handle_reduce(w)
+        assert scan_handle_reduce(w) == (expected, k), w
         assert handle_reduce(w) == expected, w
         _assert_cap_boundary(w, k, expected)
         reductions += k
@@ -126,11 +134,74 @@ def test_handle_reduce_matches_the_splice_oracle_on_left_comb_cores():
             q = free_reduce(inverse(lhs) + rhs)
             core = _strip_outer_pairs(q)
             expected, k = splice_handle_reduce(core)
+            assert scan_handle_reduce(core) == (expected, k)
             assert handle_reduce(core) == expected
             _assert_cap_boundary(core, k, expected)
             if n <= 10:
                 assert braid_compare(lhs, rhs) == splice_braid_compare(lhs, rhs)
                 assert braid_compare(rhs, lhs) == splice_braid_compare(rhs, lhs)
+
+
+def _deep_quotient_shape(n):
+    """The shape of the quotient braid_equal reduces for the deep pair of
+    test_cli.py at n = 1,050: a descending run, σ1⁻¹, an ascending negative
+    run, a descending run down to σ1, σ1, an ascending negative run."""
+    return (
+        tuple(range(n + 1, 1, -1))
+        + (-1,)
+        + tuple(range(-1, -n - 1, -1))
+        + tuple(range(n + 1, 0, -1))
+        + (1,)
+        + tuple(range(-2, -n - 3, -1))
+    )
+
+
+def _wide_word(rng, max_index, max_run=400):
+    """Two to four runs of consecutive indices in [1, max_index], each of
+    one sign, ascending or descending, of at most max_run letters."""
+    w = []
+    for _ in range(rng.randint(2, 4)):
+        a = rng.randint(1, max_index)
+        b = min(max(a + rng.randint(-max_run + 1, max_run - 1), 1), max_index)
+        step = 1 if a <= b else -1
+        e = rng.choice((1, -1))
+        w += [e * k for k in range(a, b + step, step)]
+    return tuple(w)
+
+
+def test_handle_reduce_matches_the_scan_oracle_on_wide_words():
+    # runs over hundreds of indices, where the scan oracle's letter-by-letter
+    # look-back walks back over a whole run for each letter; handle_reduce
+    # must reduce the same handles in the same order
+    for n in (1, 2, 5, 40, 300):
+        w = _deep_quotient_shape(n)
+        expected, k = scan_handle_reduce(w)
+        assert k == n + 1 and len(expected) == len(w)
+        assert handle_reduce(w) == expected
+        _assert_cap_boundary(w, k, expected)
+    rng = random.Random(1052)
+    reductions = 0
+    for _ in range(10):
+        u = _wide_word(rng, 1_000)
+        # u against a conjugate of its own inverse, so that handles close
+        w = u + _wide_word(rng, 30) + inverse(u[: rng.randint(0, len(u))])
+        expected, k = scan_handle_reduce(w)
+        assert handle_reduce(w) == expected
+        _assert_cap_boundary(w, k, expected)
+        reductions += k
+    assert reductions > 100
+
+
+def test_handle_reduce_matches_the_scan_oracle_on_words_over_many_indices():
+    rng = random.Random(60)
+    reductions = 0
+    for _ in range(1_500):
+        w = random_word(rng, rng.randint(0, 80), rng.randint(1, 60))
+        expected, k = scan_handle_reduce(w)
+        assert handle_reduce(w) == expected, w
+        _assert_cap_boundary(w, k, expected)
+        reductions += k
+    assert reductions > 1_000
 
 
 def _assert_cap_boundary(w, k, expected):
@@ -161,6 +232,86 @@ def _left_comb_pairs(n, bs=("x",)):
             for right, equal in ((Compound(STAR, comb, b), True),
                                  (Compound(STAR, comb, Compound(STAR, b, X)), False)):
                 yield lhs, eval_star_braid(Compound(STAR, left, right), ()), equal
+
+
+def test_cancel_far_commuting_on_random_words():
+    # the result is a subsequence of the word, the same braid, freely
+    # reduced, and has no pair x ... x⁻¹ whose interior commutes with x
+    rng = random.Random(2)
+    cancelled = 0
+    for _ in range(2_000):
+        w = random_word(rng, rng.randint(0, 40), rng.randint(1, 8))
+        c = cancel_far_commuting(w)
+        rest = iter(w)
+        assert all(x in rest for x in c)
+        assert braid_key(c) == braid_key(w)
+        assert c == free_reduce(c)
+        for p, x in enumerate(c):
+            for r in range(p + 1, len(c)):
+                if abs(abs(c[r]) - abs(x)) < 2:
+                    assert c[r] != -x, (w, c, p, r)
+                    break
+        cancelled += len(free_reduce(w)) - len(c)
+    assert cancelled > 3_000
+    assert cancel_far_commuting(()) == ()
+    assert cancel_far_commuting(B("s1 s3 S1 S3")) == ()
+    assert cancel_far_commuting(B("s1 s2 S1 S2")) == B("s1 s2 S1 S2")
+    assert cancel_far_commuting(B("s3 s1 s5 S3")) == B("s1 s5")
+
+
+def _load_decide_workload():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.Decide
+
+
+@functools.lru_cache(maxsize=None)
+def _decide_corpus_braid_pairs(seed):
+    """(kind, w1, w2) for every braid_equal call decide_ald makes on the
+    benchmark's `decide` corpus at this seed."""
+    calls = []
+    original = ldoracle.braid_equal
+    kind = None
+
+    def record(w1, w2):
+        calls.append((kind, w1, w2))
+        return original(w1, w2)
+
+    ldoracle.braid_equal = record
+    try:
+        for kind, s, t in _load_decide_workload()(seed).pairs:
+            decide_ald(s, t)
+    finally:
+        ldoracle.braid_equal = original
+    return tuple(calls)
+
+
+def test_braid_equal_and_compare_match_the_oracles_on_the_decide_corpus():
+    kinds = set()
+    for seed in (1, 2, 3):
+        for kind, a, b in _decide_corpus_braid_pairs(seed):
+            kinds.add(kind)
+            for w, v in ((a, b), (b, a)):
+                assert braid_equal(w, v) == quotient_braid_equal(w, v), (w, v)
+                assert braid_compare(w, v) == splice_braid_compare(w, v), (w, v)
+    assert {"big", "sq", "walk", "perturb"} <= kinds
+
+
+def test_big_decide_quotients_cancel_to_a_few_letters():
+    # L * (a * b) against (L * a) * (L * b), L a left comb of 9-12 leaves:
+    # the quotient left after the common ends has 1,026-8,202 letters, and
+    # its far-commuting letters cancel all but a few
+    big = [(a, b) for kind, a, b in _decide_corpus_braid_pairs(1) if kind == "big"]
+    assert len(big) == 16
+    for a, b in big:
+        r1, r2 = cancel_common_ends(a, b)
+        q = inverse(r1) + r2
+        assert len(q) > 1_000
+        assert len(cancel_far_commuting(q)) <= 12
 
 
 def test_braid_equal_examples():
