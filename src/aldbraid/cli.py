@@ -479,7 +479,8 @@ def main(argv=None) -> int:
         return EX_USAGE
     except RecursionError:
         # derived terms far deeper than MAX_DEPTH: the LD closure's rewriting
-        # positions, and the tree walks that reduce an `eval --diagram` result
+        # positions, and trees nested to the left by a long run of regrouping
+        # letters, such as `eval --diagram` builds from its word
         print("error: a term derived from the input is nested too deeply", file=sys.stderr)
         return EX_USAGE
 

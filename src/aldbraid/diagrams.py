@@ -45,17 +45,19 @@ from .braids import (
     render_braid,
 )
 from .pbwords import PBWord, pb_free_reduce
-from .terms import CIRC, MAX_DEPTH, STAR, Compound, Term, Variable, X, size, substitute, x_power
+from .terms import CIRC, MAX_DEPTH, STAR, Compound, Term, Variable, X
+from .terms import right_spine, size, substitute, x_power
 
 
 # ---------------------------------------------------------------------------
-# Tree helpers (trees are one-variable ∘-terms)
+# Tree helpers (trees are one-variable ∘-terms).  Each walk loops down the
+# right spine and recurses only into left children: the trees of evaluations
+# are deep only along their right spines.
 
 
 def tree_pattern(t: Term) -> str:
-    if isinstance(t, Variable):
-        return "x"
-    return f"({tree_pattern(t.left)}{tree_pattern(t.right)})"
+    spine, _ = right_spine(t)
+    return "".join([f"({tree_pattern(node.left)}" for node in spine]) + "x" + ")" * len(spine)
 
 
 #: Entries each node-keyed tree cache keeps, and each of the two refinement
@@ -86,51 +88,46 @@ def add_caret(t: Term, leaf: int) -> Term:
 def sibling_leaf_pairs(t: Term) -> tuple[int, ...]:
     """Positions p such that leaves p and p+1 are the two children of a caret."""
     out: list[int] = []
-    _sibling_pairs(t, 1, out)
+    k = 0  # leaves left of the current spine node
+    for node in right_spine(t)[0]:
+        if node.size == 2:
+            out.append(k + 1)
+        elif isinstance(node.left, Compound):
+            out += [k + p for p in sibling_leaf_pairs(node.left)]
+        k += node.left.size
     return tuple(out)
-
-
-def _sibling_pairs(node: Term, k: int, out: list[int]) -> int:
-    """Append the sibling pairs under node, whose first leaf is k; return
-    the position after its last leaf."""
-    if isinstance(node, Variable):
-        return k + 1
-    if isinstance(node.left, Variable) and isinstance(node.right, Variable):
-        out.append(k)
-        return k + 2
-    k = _sibling_pairs(node.left, k, out)
-    return _sibling_pairs(node.right, k, out)
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def collapse_caret(t: Term, leaf: int) -> Term:
-    """Merge the caret over leaves (leaf, leaf+1) back into a single leaf."""
-    out, _ = _collapse(t, 1, leaf)
-    if size(out) != size(t) - 1:
-        raise ValueError(f"no caret over leaves ({leaf}, {leaf + 1})")
+    """Merge the caret over leaves (leaf, leaf+1) back into a single leaf.
+    Descends to the caret by the leaf counts and rebuilds only that path."""
+    path: list[tuple[Compound, bool]] = []  # each node above the caret, and whether it went left
+    node, k = t, leaf  # the caret is over leaves (k, k+1) of node
+    while node.size != 2 or k != 1:
+        if isinstance(node, Variable):
+            raise ValueError(f"no caret over leaves ({leaf}, {leaf + 1})")
+        left = k <= node.left.size
+        path.append((node, left))
+        node, k = (node.left, k) if left else (node.right, k - node.left.size)
+    out: Term = X
+    for node, left in reversed(path):
+        out = Compound(CIRC, out, node.right) if left else Compound(CIRC, node.left, out)
     return out
-
-
-def _collapse(node: Term, k: int, leaf: int) -> tuple[Term, int]:
-    """node, whose first leaf is k, with the caret over (leaf, leaf+1)
-    merged; and the position after its last leaf."""
-    if isinstance(node, Variable):
-        return node, k + 1
-    if isinstance(node.left, Variable) and isinstance(node.right, Variable) and k == leaf:
-        return X, k + 2
-    left, k = _collapse(node.left, k, leaf)
-    right, k = _collapse(node.right, k, leaf)
-    return Compound(CIRC, left, right), k
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def tree_join(t1: Term, t2: Term) -> Term:
-    """Smallest common refinement in the caret order."""
-    if isinstance(t1, Variable):
-        return t2
-    if isinstance(t2, Variable):
-        return t1
-    return Compound(CIRC, tree_join(t1.left, t2.left), tree_join(t1.right, t2.right))
+    """Smallest common refinement in the caret order.  A node of t1 that the
+    join leaves as it is is kept, without looking it up again."""
+    spine: list[tuple[Compound, Term]] = []  # t1's spine nodes, each with its left join
+    while isinstance(t1, Compound) and isinstance(t2, Compound) and t1 is not t2:
+        spine.append((t1, tree_join(t1.left, t2.left)))
+        t1, t2 = t1.right, t2.right
+    out = t2 if isinstance(t1, Variable) else t1
+    for node, left in reversed(spine):
+        out = node if left is node.left and out is node.right else Compound(CIRC, left, out)
+    return out
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
@@ -138,16 +135,11 @@ def _leaf_subtrees(t: Term, refined: Term) -> tuple[Term, ...]:
     """The subtree of `refined` under each leaf of t, left to right; t must be
     refined by `refined` in the caret order."""
     out: list[Term] = []
-    _subtrees_below(t, refined, out)
+    while isinstance(t, Compound):
+        out += (refined.left,) if t.left.size == 1 else _leaf_subtrees(t.left, refined.left)
+        t, refined = t.right, refined.right
+    out.append(refined)
     return tuple(out)
-
-
-def _subtrees_below(node: Term, goal: Term, out: list[Term]) -> None:
-    if isinstance(node, Variable):
-        out.append(goal)
-    else:
-        _subtrees_below(node.left, goal.left, out)
-        _subtrees_below(node.right, goal.right, out)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +204,8 @@ def identity_diagram() -> PBDiagram:
 def _check_index(i: int) -> None:
     if i < 1:
         raise ValueError("index must be >= 1")
-    # the generator's comb has i+2 leaves, and the tree helpers that walk a
-    # tree (tree_pattern, _graft, tree_join, ...) recurse on its depth
+    # the generator's comb is a right comb of i+2 leaves, which the tree walks
+    # loop down, so the bound only limits the size of its diagrams
     if i + 2 > MAX_DEPTH:
         raise ValueError(f"letter index {i} needs a comb of {i + 2} leaves, more than {MAX_DEPTH}")
 

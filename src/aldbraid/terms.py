@@ -166,10 +166,13 @@ class LawInstance:
 
 
 #: Deepest nesting of operators and parentheses that parse_term accepts: the
-#: walks of parsed input and ∘-skeletons (inv_J, substitute, the tree helpers
-#: of `diagrams`, ...) recurse once per level, and deeper terms overflow the
-#: stack.  Derived terms are deep only along a right spine (see right_spine).
-#: Hashing, equality and size read cached fields and take any depth.
+#: walks of parsed input and of its I-parts (inv_J, circ_cmp, ...) recurse
+#: once per level, and deeper terms overflow the stack.  Derived terms and
+#: trees are deep only along a right spine (see right_spine), which their
+#: walks (substitute, the tree helpers of `diagrams`, ...) loop down.  Two
+#: walks still recurse that deep: replace_at, to the LD closure's rewriting
+#: positions, and the tree walks, into the left nesting that a long run of
+#: regrouping letters builds.  Hashing, equality and size take any depth.
 MAX_DEPTH = 200
 
 
@@ -345,18 +348,19 @@ def substitute(v: Term, ts: TermSeq) -> Term:
         raise ValueError("skeleton must be a one-variable ∘-term")
     if size(v) != len(ts):
         raise ValueError(f"need {size(v)} terms, got {len(ts)}")
-    return _substitute(v, ts, 0)[0]
+    return _substitute(v, ts, 0)
 
 
-def _substitute(node: Term, ts: TermSeq, k: int) -> tuple[Term, int]:
-    """node with its leaves replaced by ts[k], ts[k+1], ...; and the next k.
-    A module-level function, as are the other recursive helpers: a nested
-    closure that calls itself is a reference cycle on every call."""
-    if isinstance(node, Variable):
-        return ts[k], k + 1
-    left, k = _substitute(node.left, ts, k)
-    right, k = _substitute(node.right, ts, k)
-    return Compound(CIRC, left, right), k
+def _substitute(node: Term, ts: TermSeq, k: int) -> Term:
+    """node with its leaves replaced by ts[k], ts[k+1], ...: a loop up its
+    right spine, from the last leaf, that recurses only into left children."""
+    spine, _ = right_spine(node)
+    end = k + node.size  # every spine node ends at the same leaf
+    out = ts[end - 1]
+    for n in reversed(spine):
+        first = end - n.size
+        out = Compound(CIRC, ts[first] if n.left.size == 1 else _substitute(n.left, ts, first), out)
+    return out
 
 
 class NotSpecial(Exception):

@@ -20,6 +20,11 @@ different braid word for some terms.  `struct_inv_I` and `struct_inv_J`
 recompute the invariants that `inv_I` and `inv_J` cache on each node.
 `word_to_diagram_by_letters` multiplies by one generator diagram per letter
 with no step cache, which `word_to_diagram` must reproduce exactly.
+`recursive_tree_pattern`, `recursive_sibling_leaf_pairs`,
+`recursive_collapse_caret`, `recursive_tree_join`, `recursive_leaf_subtrees`
+and `recursive_substitute` recurse into both children of every tree node,
+uncached, where the tree walks of `diagrams` and `terms.substitute` loop down
+the right spine and recurse only into left children.
 `word_eq_by_diagrams` compares the diagrams of the two whole words, where
 `word_eq_oracle` first cancels in the free group: it reduces each word
 freely and drops the common prefix and suffix of the two.
@@ -110,6 +115,7 @@ from aldbraid.terms import (
     LawApplicationError,
     LawInstance,
     Variable,
+    X,
     circ_cmp,
     decompose_special,
     enumerate_terms,
@@ -387,6 +393,71 @@ def word_eq_by_diagrams(w1, w2) -> bool:
     which `word_to_diagram` returns reduced, compared as reduced diagrams."""
     d1, d2 = word_to_diagram(w1), word_to_diagram(w2)
     return d1.dom == d2.dom and d1.cod == d2.cod and braid_equal(d1.braid, d2.braid)
+
+
+def recursive_tree_pattern(t) -> str:
+    if isinstance(t, Variable):
+        return "x"
+    return f"({recursive_tree_pattern(t.left)}{recursive_tree_pattern(t.right)})"
+
+
+def recursive_sibling_leaf_pairs(t) -> tuple:
+    def go(node, k, out):
+        if isinstance(node, Variable):
+            return k + 1
+        if isinstance(node.left, Variable) and isinstance(node.right, Variable):
+            out.append(k)
+            return k + 2
+        return go(node.right, go(node.left, k, out), out)
+
+    out = []
+    go(t, 1, out)
+    return tuple(out)
+
+
+def recursive_collapse_caret(t, leaf):
+    def go(node, k):
+        if isinstance(node, Variable):
+            return node, k + 1
+        if isinstance(node.left, Variable) and isinstance(node.right, Variable) and k == leaf:
+            return X, k + 2
+        left, k = go(node.left, k)
+        right, k = go(node.right, k)
+        return Compound(CIRC, left, right), k
+
+    out = go(t, 1)[0]
+    if out.size != t.size - 1:
+        raise ValueError(f"no caret over leaves ({leaf}, {leaf + 1})")
+    return out
+
+
+def recursive_tree_join(t1, t2):
+    if isinstance(t1, Variable):
+        return t2
+    if isinstance(t2, Variable):
+        return t1
+    return Compound(
+        CIRC, recursive_tree_join(t1.left, t2.left), recursive_tree_join(t1.right, t2.right)
+    )
+
+
+def recursive_leaf_subtrees(t, refined) -> tuple:
+    if isinstance(t, Variable):
+        return (refined,)
+    return recursive_leaf_subtrees(t.left, refined.left) + recursive_leaf_subtrees(
+        t.right, refined.right
+    )
+
+
+def recursive_substitute(v, ts):
+    def go(node, k):
+        if isinstance(node, Variable):
+            return ts[k], k + 1
+        left, k = go(node.left, k)
+        right, k = go(node.right, k)
+        return Compound(CIRC, left, right), k
+
+    return go(v, 0)[0]
 
 
 @dataclass(frozen=True)

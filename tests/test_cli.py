@@ -15,8 +15,8 @@ from aldbraid.cli import (
     main,
 )
 from aldbraid.diagrams import diagram_eval_term, gen_a, gen_sigma, identity_diagram, word_to_diagram
-from aldbraid.pbwords import MAX_WORD_LETTERS, parse_pb, relation_instances
-from aldbraid.terms import MAX_DEPTH, enumerate_terms
+from aldbraid.pbwords import MAX_WORD_LETTERS, parse_pb, pb_eval_term, relation_instances
+from aldbraid.terms import MAX_DEPTH, enumerate_terms, parse_term
 from oracles import (
     pairwise_freeness_scan,
     per_term_equality_labels,
@@ -150,18 +150,28 @@ def test_deep_multi_variable_closure_exits_64(capsys):
     assert time.perf_counter() - start < 10
 
 
-def test_deep_derived_term_diagram_evaluation_exits_64(capsys):
-    # the evaluation's trees are reduced by recursive walks
-    # (diagrams._sibling_pairs), which overflow on this term's trees; the
-    # word evaluations of the same term loop and answer
+def test_deep_derived_term_diagram_evaluation_answers(capsys):
+    # the evaluation's trees are right combs of 1,052 leaves with left nesting
+    # 1, and the tree walks loop down their right spines
     t = _deep_derived_term()
     start = time.perf_counter()
-    code, out, err = run(capsys, "eval", t, "", "--diagram")
-    assert code == 64 and out == ""
-    assert err == "error: a term derived from the input is nested too deeply\n"
+    code, out, err = run(capsys, "eval", t, "", "--diagram", "--json")
+    assert (code, err) == (0, "")
     assert time.perf_counter() - start < 1
+    # the recursive word has 2,093 letters of index at most 156
+    assert json.loads(out) == word_to_diagram(pb_eval_term(parse_term(t), ())).to_json()
     for mode in ("--recursive", "--closed-form"):
         assert run(capsys, "eval", t, "", mode)[0] == 0, mode
+
+
+def test_word_driven_left_nesting_exits_64(capsys):
+    # the diagram of n letters a1⁻¹ has the left comb of n + 2 leaves as its
+    # dom, and the tree walks recurse into left children, once a letter here
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "x o x", " ".join(["A1"] * 1500), "--diagram")
+    assert code == 64 and out == ""
+    assert err == "error: a term derived from the input is nested too deeply\n"
+    assert time.perf_counter() - start < 20
 
 
 def _doubling_term():

@@ -22,7 +22,17 @@ from aldbraid.diagrams import (
 )
 from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
 from aldbraid.terms import STAR, Compound, enumerate_terms, parse_term, x_power
-from oracles import multiply_by_splitting, word_eq_by_diagrams, word_to_diagram_by_letters
+from oracles import (
+    multiply_by_splitting,
+    recursive_collapse_caret,
+    recursive_leaf_subtrees,
+    recursive_sibling_leaf_pairs,
+    recursive_substitute,
+    recursive_tree_join,
+    recursive_tree_pattern,
+    word_eq_by_diagrams,
+    word_to_diagram_by_letters,
+)
 
 W = parse_pb
 
@@ -172,6 +182,42 @@ def test_term_evaluation_makes_two_products_per_term_pair(monkeypatch):
     monkeypatch.undo()
     assert len(pairs) > 800
     assert len(calls) == 2 * len(pairs) + len(rights) + len(star_lefts)
+
+
+#: The tree walks and the recursive oracles that each must reproduce.
+TREE_WALKS = {
+    "sibling_leaf_pairs": recursive_sibling_leaf_pairs,
+    "collapse_caret": recursive_collapse_caret,
+    "tree_join": recursive_tree_join,
+    "_leaf_subtrees": recursive_leaf_subtrees,
+    "substitute": recursive_substitute,
+}
+
+
+def test_tree_walks_match_the_recursive_oracles(monkeypatch):
+    # the arguments of every tree walk in the evaluation of the terms of size
+    # <= 7 at the four default words, from empty caches so that each walk
+    # meets them whatever ran before
+    for name in ("_graft", "_refine_dom_side", "_refine_cod_side", "_times_letter", *TREE_WALKS):
+        if name != "substitute":
+            getattr(diagrams, name).cache_clear()
+    met = {name: set() for name in TREE_WALKS}
+    for name, args in met.items():
+        walk = getattr(diagrams, name)
+        monkeypatch.setattr(diagrams, name, lambda *a, w=walk, s=args: s.add(a) or w(*a))
+    for g in _default_word_diagrams():
+        _evaluate_all(g, 7)
+    monkeypatch.undo()
+    trees = set()
+    for name, oracle in TREE_WALKS.items():
+        walk = getattr(diagrams, name)
+        assert len(met[name]) > 100, name
+        for args in met[name]:
+            assert walk(*args) == oracle(*args), (name, args)
+            trees.update(a for a in args if isinstance(a, Compound))
+    assert len(trees) > 1_000
+    for t in trees:
+        assert tree_pattern(t) == recursive_tree_pattern(t)
 
 
 def test_private_constructor_matches_public_one(monkeypatch):

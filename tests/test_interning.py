@@ -1,7 +1,9 @@
 """Hash-consed terms: interning against the structural oracle terms, bounded
 memory, and terms deeper than the recursion limit."""
 
+import ast
 import gc
+import pathlib
 import random
 import types
 
@@ -190,3 +192,52 @@ def test_recursive_helpers_leave_no_reference_cycles():
         del gc.garbage[before:]
         gc.enable()
     assert leaked == []
+
+
+_PARSED = "MAX_DEPTH: the nesting of parsed input, and so of its I-parts"
+_PATTERN = "the depth of a law pattern"
+_SIZE = "the size its caller asks for"
+_LEFT = "the left nesting: it loops down the right spine"
+
+#: Every function of the package that calls itself by name, and what bounds
+#: the depth of that recursion.  Derived terms and trees are deep only along
+#: their right spines, so a walk over them must loop there.
+SELF_RECURSIVE = {
+    "braids.eval_star_braid": _LEFT,
+    "diagrams.tree_pattern": _LEFT,
+    "diagrams.sibling_leaf_pairs": _LEFT,
+    "diagrams.tree_join": _LEFT,
+    "diagrams._leaf_subtrees": _LEFT,
+    "diagrams.diagram_eval_term": _PARSED,
+    "invariants.inv_I": _PARSED,
+    "invariants.inv_J": _PARSED,
+    "invariants._special_steps": _PARSED,
+    "invariants._star_steps": _PARSED,
+    "pbwords.pb_eval_term": _LEFT,
+    "pbwords.v_of_1": _PARSED,
+    "terms._parse_expr": _PARSED,
+    "terms.render_term": _LEFT,
+    "terms.is_special": _PARSED,
+    "terms._substitute": _LEFT,
+    "terms._split_special": _PARSED,
+    "terms._circ_cmp": _PARSED,
+    # unbounded: the LD closure rewrites at positions as deep as its terms,
+    # and a RecursionError there exits 64
+    "terms.replace_at": "none",
+    "terms._match": _PATTERN,
+    "terms._build": _PATTERN,
+    "terms._terms_of_size": _SIZE,
+    "terms.random_term": _SIZE,
+}
+
+
+def test_every_self_recursive_function_has_a_stated_bound():
+    found = set()
+    for path in pathlib.Path(terms.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+                for call in ast.walk(node)
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == set(SELF_RECURSIVE)
