@@ -263,51 +263,41 @@ def braid_key(w: BraidWord) -> tuple[int, ...]:
         z = a_i - b_i⁻ - a_{i+1} + b_{i+1}⁺,
         (a_i + b_i⁺ + (b_{i+1}⁺ - z)⁺,  b_{i+1} - z⁺,
          a_{i+1} + b_{i+1}⁻ + (b_i⁻ + z)⁻,  b_i + z⁺)
-    and σ_i⁻¹ sends
-        z = a_i + b_i⁻ - a_{i+1} - b_{i+1}⁺,
-        (a_i - b_i⁺ - (b_{i+1}⁺ + z)⁺,  b_{i+1} + z⁻,
-         a_{i+1} - b_{i+1}⁻ - (b_i⁻ - z)⁻,  b_i - z⁻)
     (Dehornoy, "Efficient solutions to the braid isotopy problem", Discrete
-    Appl. Math. 156, 2008).  The loop splits on
-    the sign of z instead of calling max/min, which makes it several times
-    faster.  Coordinates grow with the word, so the key costs time
-    quadratic in its length: order, and `braid_equal` on a single pair,
-    stay with handle reduction.
+    Appl. Math. 156, 2008).  σ_i⁻¹ is σ_i conjugated by a ↦ -a: reflecting
+    the punctured disc in the line through the punctures maps σ_i to σ_i⁻¹
+    and negates every a-coordinate, so a letter -i negates a_i and a_{i+1},
+    applies σ_i and negates them again.  The loop splits on the sign of z
+    instead of calling max/min, which makes it several times faster.
+    Coordinates grow with the word, so the key costs time quadratic in its
+    length: order, and `braid_equal` on a single pair, stay with handle
+    reduction.
     """
     c = [0, 1] * (max(map(abs, w), default=0) + 1)
     for x in w:
         if x > 0:
             j = 2 * x - 2
             a1, b1, a2, b2 = c[j], c[j + 1], c[j + 2], c[j + 3]
-            m1 = b1 if b1 < 0 else 0
-            p2 = b2 if b2 > 0 else 0
-            z = a1 - m1 - a2 + p2
-            if z > 0:
-                c[j] = a1 + b1 - m1 + (p2 - z if p2 > z else 0)
-                c[j + 1] = b2 - z
-                c[j + 2] = a2 + b2 - p2 + (m1 + z if m1 + z < 0 else 0)
-                c[j + 3] = b1 + z
-            else:
-                c[j] = a1 + b1 - m1 + p2 - z
-                c[j + 1] = b2
-                c[j + 2] = a2 + b2 - p2 + m1 + z
-                c[j + 3] = b1
         else:
             j = -2 * x - 2
-            a1, b1, a2, b2 = c[j], c[j + 1], c[j + 2], c[j + 3]
-            m1 = b1 if b1 < 0 else 0
-            p2 = b2 if b2 > 0 else 0
-            z = a1 + m1 - a2 - p2
-            if z < 0:
-                c[j] = a1 - b1 + m1 - (p2 + z if p2 + z > 0 else 0)
-                c[j + 1] = b2 + z
-                c[j + 2] = a2 - b2 + p2 - (m1 - z if m1 - z < 0 else 0)
-                c[j + 3] = b1 - z
-            else:
-                c[j] = a1 - b1 + m1 - p2 - z
-                c[j + 1] = b2
-                c[j + 2] = a2 - b2 + p2 - m1 + z
-                c[j + 3] = b1
+            a1, b1, a2, b2 = -c[j], c[j + 1], -c[j + 2], c[j + 3]
+        m1 = b1 if b1 < 0 else 0
+        p2 = b2 if b2 > 0 else 0
+        z = a1 - m1 - a2 + p2
+        if z > 0:
+            a1 += b1 - m1 + (p2 - z if p2 > z else 0)
+            a2 += b2 - p2 + (m1 + z if m1 + z < 0 else 0)
+            c[j + 1] = b2 - z
+            c[j + 3] = b1 + z
+        else:
+            a1 += b1 - m1 + p2 - z
+            a2 += b2 - p2 + m1 + z
+            c[j + 1] = b2
+            c[j + 3] = b1
+        if x > 0:
+            c[j], c[j + 2] = a1, a2
+        else:
+            c[j], c[j + 2] = -a1, -a2
     k = len(c)
     while k and c[k - 2] == 0 and c[k - 1] == 1:
         k -= 2

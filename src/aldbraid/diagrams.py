@@ -10,12 +10,12 @@ The group structure comes from strand splitting: replacing strand k by two
 parallel strands adds a caret to the matching leaf on both trees and cables
 the braid (each crossing of the tracked strand becomes two).  Splitting does
 not change the element represented, so two diagrams multiply by refining
-each side to the join of the middle trees, cabling its braid in one pass,
-and a diagram is compared by first reducing it (undoing every splitting it
-contains) and then comparing trees structurally and braids by handle
-reduction.  Whether a caret pair may be cancelled is
-decided semantically: merge, re-split, and accept only if the braid comes
-back unchanged up to braid equality.
+each side to the join of the middle trees, cabling its braid in one pass;
+splitting one strand is the one-caret case of that refinement.  A diagram
+is compared by first reducing it (undoing every splitting it contains) and
+then comparing trees structurally and braids by handle reduction.  Whether a
+caret pair may be cancelled is decided semantically: merge, re-split, and
+accept only if the braid comes back unchanged up to braid equality.
 
 The generators: σ_i crosses leaves i and i+1 of a right comb with i+2
 leaves; a_i regroups a right comb with i+2 leaves into the comb with i+1
@@ -38,6 +38,7 @@ from functools import lru_cache
 from .braids import (
     BraidWord,
     braid_equal,
+    braid_shift,
     cancel_common_ends,
     free_reduce,
     inverse,
@@ -63,10 +64,10 @@ def tree_pattern(t: Term) -> str:
 #: Entries each node-keyed tree cache keeps, and each of the two refinement
 #: caches of `diagram_multiply`, keyed on a diagram and a tree.  Trees are
 #: interned terms, so a tree lookup hashes and compares its arguments in
-#: O(1).  A one-word size-6 freeness scan makes at most 815 distinct keys per
-#: cache (697 per tree cache); a one-word size-7 evaluation makes up to 4,206
-#: (1,750 per tree cache) and evicts, but each cache still hits at least 58%
-#: of its lookups (each tree cache at least 78%).
+#: O(1).  A one-word size-6 freeness scan makes at most 926 distinct keys per
+#: cache (450 per tree cache); a one-word size-7 scan evicts, with up to 5,396
+#: misses in one cache (1,305 in a tree cache), but each cache still hits at
+#: least 56% of its lookups (each tree cache at least 76%).
 TREE_CACHE_SIZE = 1024
 
 
@@ -249,17 +250,6 @@ def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWor
     return tuple(out)
 
 
-def split_strand(d: PBDiagram, k: int) -> PBDiagram:
-    """Replace strand k (1-based dom leaf) by two parallel strands."""
-    if not 1 <= k <= d.strands:
-        raise ValueError(f"strand {k} out of range")
-    widths = [1] * d.strands
-    widths[k - 1] = 2
-    perm = d.permutation
-    cabled = _cable(d.braid, widths, perm)
-    return PBDiagram(add_caret(d.dom, k), cabled, add_caret(d.cod, perm[k - 1]))
-
-
 def _remove_strand(braid: BraidWord, k: int) -> BraidWord:
     """Delete the strand starting at position k, dropping its crossings."""
     out: list[int] = []
@@ -341,6 +331,16 @@ def _refine_cod_side(d: PBDiagram, middle: Term) -> tuple[Term, BraidWord]:
     return _graft(d.cod, bottom), _cable(d.braid, [t.size for t in above], range(d.strands))
 
 
+def split_strand(d: PBDiagram, k: int) -> PBDiagram:
+    """Replace strand k (1-based dom leaf) by two parallel strands, as a
+    product refines its right side to a dom with one more caret, at leaf k."""
+    if not 1 <= k <= d.strands:
+        raise ValueError(f"strand {k} out of range")
+    dom = add_caret(d.dom, k)
+    cod, braid = _refine_cod_side(d, dom)
+    return PBDiagram(dom, braid, cod)
+
+
 def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
     """Stack d2 below d1, refining each side to the middle tree in one pass.
     A side whose tree already is the middle tree keeps its tree and braid as
@@ -370,7 +370,7 @@ def diagram_shift(d: PBDiagram) -> PBDiagram:
     """The shift endomorphism: a fresh first strand in front of everything."""
     return _diagram(
         Compound(CIRC, X, d.dom),
-        tuple([x + 1 if x > 0 else x - 1 for x in d.braid]),
+        braid_shift(d.braid),
         Compound(CIRC, X, d.cod),
         (1, *[q + 1 for q in d.permutation]),
     )

@@ -122,6 +122,8 @@ def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
     """
     if size_cap < size(t):
         raise ValueError("size_cap must be at least size(t)")
+    if step_cap < 1:
+        raise ValueError("step_cap must be at least 1")
     seen = {t}
     queue = deque([t])
     steps = 0
@@ -144,26 +146,30 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
                       step_cap: int = DEFAULT_STEP_CAP) -> Verdict:
     """Decision of s =_LD t for *-terms, total on one variable, bounded otherwise.
 
-    NOT_EQUAL when the variable sets or the rightmost variables differ; a
-    one-variable pair is then EQUAL or NOT_EQUAL by `braid_equal` on the two
-    evaluations, whatever the caps.  Otherwise NOT_EQUAL when the braids of
-    the terms at x_i ↦ 1 differ (skipped when a word would exceed the cap),
-    EQUAL when a rewriting path within the caps connects the terms, and
-    UNKNOWN when none does.
+    A one-variable pair is EQUAL or NOT_EQUAL by `braid_equal` on the two
+    evaluations, whatever the caps.  Any other pair first has its caps
+    checked: a size cap below either term's size, or a step cap below 1, is
+    a ValueError.  It is then NOT_EQUAL when the variable sets or the
+    rightmost variables differ, or when the braids of the terms at x_i ↦ 1
+    differ (skipped when a word would exceed the cap), EQUAL when a
+    rewriting path within the caps connects the terms, and UNKNOWN when
+    none does.
     """
     _require_star(s)
     _require_star(t)
-    if s == t:
-        return Verdict.EQUAL
-    if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
-        return Verdict.NOT_EQUAL
-    if is_one_variable(s):
-        equal = braid_equal(_star_braid(s), _star_braid(t))
+    if is_one_variable(s) and is_one_variable(t):
+        equal = s == t or braid_equal(_star_braid(s), _star_braid(t))
         return Verdict.EQUAL if equal else Verdict.NOT_EQUAL
     if size_cap is None:
         size_cap = default_size_cap(s, t)
     elif size_cap < max(size(s), size(t)):
         raise ValueError("size_cap must be at least the size of both terms")
+    if step_cap < 1:
+        raise ValueError("step_cap must be at least 1")
+    if s == t:
+        return Verdict.EQUAL
+    if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
+        return Verdict.NOT_EQUAL
     if _fits(s) and _fits(t) and not braid_equal(eval_star_braid(s, ()), eval_star_braid(t, ())):
         return Verdict.NOT_EQUAL
     if t in ld_closure(s, size_cap, step_cap, target=t):

@@ -61,6 +61,8 @@ reads the order off its reduction of the whole quotient w1⁻¹w2, which
 the stack pass, and `quotient_braid_equal` reads equality off that order,
 where `braid_equal` cancels the common prefix and suffix and then reduces
 what is left of the quotient in the same two steps.
+`two_formula_braid_key` applies σ_i⁻¹ by its own formula, where `braid_key`
+conjugates the σ_i update by a ↦ -a.
 `rewrite_redex` writes each law and direction out as its own `isinstance`
 branch, and `redex_law_instances` finds an instance by building the
 rewritten redex, where `apply_law` and `law_instances` match one table of
@@ -304,6 +306,57 @@ def quotient_braid_equal(w1, w2) -> bool:
     """Braid equality as the order's EQUAL: the whole quotient w1⁻¹w2
     splice-reduces to the empty word."""
     return splice_braid_compare(w1, w2) == EQUAL
+
+
+def two_formula_braid_key(w) -> tuple:
+    """`braid_key` with σ_i and σ_i⁻¹ each applied by its own formula
+    (Dehornoy, Discrete Appl. Math. 156, 2008), split on the sign of z:
+    with t⁺ = max(t, 0), t⁻ = min(t, 0), σ_i sends
+        z = a_i - b_i⁻ - a_{i+1} + b_{i+1}⁺,
+        (a_i + b_i⁺ + (b_{i+1}⁺ - z)⁺,  b_{i+1} - z⁺,
+         a_{i+1} + b_{i+1}⁻ + (b_i⁻ + z)⁻,  b_i + z⁺)
+    and σ_i⁻¹ sends
+        z = a_i + b_i⁻ - a_{i+1} - b_{i+1}⁺,
+        (a_i - b_i⁺ - (b_{i+1}⁺ + z)⁺,  b_{i+1} + z⁻,
+         a_{i+1} - b_{i+1}⁻ - (b_i⁻ - z)⁻,  b_i - z⁻)."""
+    c = [0, 1] * (max(map(abs, w), default=0) + 1)
+    for x in w:
+        if x > 0:
+            j = 2 * x - 2
+            a1, b1, a2, b2 = c[j], c[j + 1], c[j + 2], c[j + 3]
+            m1 = b1 if b1 < 0 else 0
+            p2 = b2 if b2 > 0 else 0
+            z = a1 - m1 - a2 + p2
+            if z > 0:
+                c[j] = a1 + b1 - m1 + (p2 - z if p2 > z else 0)
+                c[j + 1] = b2 - z
+                c[j + 2] = a2 + b2 - p2 + (m1 + z if m1 + z < 0 else 0)
+                c[j + 3] = b1 + z
+            else:
+                c[j] = a1 + b1 - m1 + p2 - z
+                c[j + 1] = b2
+                c[j + 2] = a2 + b2 - p2 + m1 + z
+                c[j + 3] = b1
+        else:
+            j = -2 * x - 2
+            a1, b1, a2, b2 = c[j], c[j + 1], c[j + 2], c[j + 3]
+            m1 = b1 if b1 < 0 else 0
+            p2 = b2 if b2 > 0 else 0
+            z = a1 + m1 - a2 - p2
+            if z < 0:
+                c[j] = a1 - b1 + m1 - (p2 + z if p2 + z > 0 else 0)
+                c[j + 1] = b2 + z
+                c[j + 2] = a2 - b2 + p2 - (m1 - z if m1 - z < 0 else 0)
+                c[j + 3] = b1 - z
+            else:
+                c[j] = a1 - b1 + m1 - p2 - z
+                c[j + 1] = b2
+                c[j + 2] = a2 - b2 + p2 - m1 + z
+                c[j + 3] = b1
+    k = len(c)
+    while k and c[k - 2] == 0 and c[k - 1] == 1:
+        k -= 2
+    return tuple(c[:k])
 
 
 class BraidClassIndex:

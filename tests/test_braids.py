@@ -37,6 +37,7 @@ from oracles import (
     scan_handle_reduce,
     splice_braid_compare,
     splice_handle_reduce,
+    two_formula_braid_key,
     value_or_error,
 )
 
@@ -577,6 +578,8 @@ def test_braid_key_agrees_with_braid_equal():
         same = braid_equal(u, v)
         equal += same
         assert (braid_key(u) == braid_key(v)) == same, (u, v)
+        assert braid_key(u) == two_formula_braid_key(u), u
+        assert braid_key(v) == two_formula_braid_key(v), v
     assert 9_000 < equal < 11_000
 
 
@@ -586,5 +589,6 @@ def test_braid_key_of_a_long_left_comb_word():
         t = Compound(STAR, t, X)
     w = eval_star_braid(t, ())
     assert len(w) == 16_383
+    assert braid_key(w) == two_formula_braid_key(w)
     assert braid_key(w) == braid_key(handle_reduce(w))
     assert braid_key(w) != braid_key(w + (1,))

@@ -224,14 +224,20 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_budget_below_input_size_exit(capsys):
-    # a closure capped below either term's size, or at no step, could only answer "unknown"
-    for command, budget, message in (
-        ("decide-ld", "1,10", "size_cap"),
-        ("decide-ld", "3,10", "size_cap"),
-        ("decide-ld", "5,0", "STEPS"),
-        ("decide-ald", "9,-3", "STEPS"),
+    # a closure capped below either term's size, or at no step, could only
+    # answer "unknown"; a pair that is not one-variable has its caps checked
+    # before any verdict, also where the variable filters would answer
+    ld_pair = ("x1*(x2*x3)", "(x1*x2)*(x1*x3)")
+    for command, budget, message, pair in (
+        ("decide-ld", "1,10", "size_cap", ld_pair),
+        ("decide-ld", "3,10", "size_cap", ld_pair),
+        ("decide-ld", "5,0", "STEPS", ld_pair),
+        ("decide-ald", "9,-3", "STEPS", ld_pair),
+        ("decide-ld", "1,10", "size_cap", ("x1*x2", "x2*x1")),
+        ("decide-ld", "1,10", "size_cap", ("x1*x2", "x1*x2")),
+        ("decide-ald", "1,10", "size_cap", ("x1*x2", "x2*x1")),
     ):
-        argv = (command, "--budget", budget, "x1*(x2*x3)", "(x1*x2)*(x1*x3)")
+        argv = (command, "--budget", budget, *pair)
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert message in err, argv

@@ -23,6 +23,7 @@ from aldbraid.diagrams import (
 from aldbraid.pbwords import parse_pb, pb_eval_term, pb_inverse, relation_instances
 from aldbraid.terms import STAR, Compound, enumerate_terms, parse_term, x_power
 from oracles import (
+    _split_one_strand,
     multiply_by_splitting,
     recursive_collapse_caret,
     recursive_leaf_subtrees,
@@ -96,6 +97,15 @@ def test_split_strand_cables_crossings():
     assert d.dom == parse_term("(x o x) o (x o x)")
     d2 = split_strand(gen_sigma(1), 2)
     assert d2.braid == (1, 2)
+
+
+def test_split_strand_matches_the_letter_by_letter_oracle():
+    # every strand of every evaluation of size <= 5 at the four default words
+    ds = {d for g in _default_word_diagrams() for d in _evaluate_all(g, 5)}
+    pairs = [(d, k) for d in ds for k in range(1, d.strands + 1)]
+    assert len(ds) > 800 and len(pairs) > 6_000
+    for d, k in pairs:
+        assert split_strand(d, k) == _split_one_strand(d, k), (d, k)
 
 
 def test_split_then_reduce_round_trip():

@@ -83,6 +83,25 @@ def test_decide_ld_bounded_examples():
     assert decide_ld_bounded(*TWO_STEPS) is Verdict.EQUAL
 
 
+def test_caps_are_checked_before_any_verdict():
+    # a closure of no step, or capped below either term's size, could only
+    # answer "unknown"; the filters and the s == t shortcut answer only
+    # after the caps are checked
+    s, t = T("x1*(x2*x3)"), T("(x1*x2)*(x1*x3)")
+    assert ld_closure(s, 10, 1) == {s, t}  # one step, t among its results
+    with pytest.raises(ValueError, match="step_cap"):
+        ld_closure(s, 10, 0)
+    for decide in (decide_ld_bounded, decide_ald):
+        with pytest.raises(ValueError, match="step_cap"):
+            decide(s, t, step_cap=0)
+    for pair in ((s, t), (T("x1*x2"), T("x2*x1")), (T("x1*x2"), T("x1*x2"))):
+        with pytest.raises(ValueError, match="size_cap"):
+            decide_ld_bounded(*pair, size_cap=1)
+    # one-variable pairs are decided whatever the caps
+    assert decide_ld_bounded(T("x*x"), T("x*x"), size_cap=1, step_cap=0) is Verdict.EQUAL
+    assert decide_ld_bounded(T("x*x"), T("(x*x)*x"), size_cap=1, step_cap=0) is Verdict.NOT_EQUAL
+
+
 def test_one_variable_pair_gets_one_verdict_from_every_entry_point():
     # LD-equal one step apart, and the closure may take no step at all
     s, t = T("x*(x*(x*x))"), T("(x*x)*((x*x)*(x*x))")
