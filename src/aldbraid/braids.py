@@ -12,11 +12,12 @@ each σ_{i+1}^d becomes σ_{i+1}^{-e} σ_i^d σ_{i+1}^e, letters of index >= i+2
 pass through unchanged, and the two σ_i letters vanish.  Every reduction
 sequence terminates, and a handle-free word is empty or has its lowest-index
 generator occurring with a single sign (σ-positive or σ-negative).
-`handle_reduce` always reduces the leftmost-closing handle, in one
-left-to-right stack pass that puts each rewritten interior back onto the
-letters still to read, so no reduction moves the rest of the word; its
-look-back for the nearest letter of index <= i follows skip pointers over
-runs of higher indices, so a word over many indices costs no quadratic scan.
+`handle_reduce` reads the word as given (free cancellation is a handle with
+an empty interior) and always reduces the leftmost-closing handle, in one
+stack pass that puts each rewritten interior back onto the letters still to
+read, so no reduction moves the rest of the word; its look-back for the
+nearest letter of index <= i follows skip pointers over runs of higher
+indices, so a word over many indices costs no quadratic scan.
 The sign of a handle-free word decides the order: w1 < w2 iff w1⁻¹ w2
 reduces to a σ-positive word, which makes the order total, left-invariant,
 and compatible with equality.  Equality cuts one thing more: p·r1·s =
@@ -115,13 +116,14 @@ class HandleReductionDefect(RuntimeError):
 def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     """Equivalent handle-free word; empty, σ-positive, or σ-negative.
 
-    One left-to-right stack pass over the freely reduced word: `done` is a
-    prefix in which no handle closes, and `todo` holds the letters still to
-    read, the next one last.  A letter x of index i looks back in `done`
-    for the nearest letter of index <= i; if that is x⁻¹, the two close a
-    handle, whose interior leaves `done` and goes back onto `todo`
-    rewritten.  Every reduction is thus the leftmost-closing one, as in a
-    rescan from the handle's start.
+    One left-to-right stack pass over the word as given: `done` is a prefix
+    in which no handle closes, and `todo` holds the letters still to read,
+    the next one last.  A letter x of index i looks back in `done` for the
+    nearest letter of index <= i; if that is x⁻¹, the two close a handle,
+    whose interior leaves `done` and goes back onto `todo` rewritten.  Every
+    reduction is thus the leftmost-closing one, as in a rescan from the
+    handle's start.  A letter next to its inverse closes a handle with an
+    empty interior, and that counts as one reduction toward the step cap.
 
     The look-back follows skip pointers: `below[p]` is the nearest position
     under p whose letter has a smaller index than done[p], so every letter
@@ -138,7 +140,7 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     """
     done: list[int] = []
     below: list[int] = []
-    todo = list(free_reduce(w)[::-1])
+    todo = list(w[::-1])
     steps = 0
     while todo:
         x = todo.pop()

@@ -30,7 +30,6 @@ the braid it is given, then stores its free reduction.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -152,7 +151,6 @@ class PBDiagram:
     dom: Term
     braid: BraidWord
     cod: Term
-    strands: int = field(init=False, compare=False, repr=False)
     #: strand k (1-based dom leaf) ends on cod leaf permutation[k-1]
     permutation: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -163,7 +161,6 @@ class PBDiagram:
         if 0 in self.braid or max(map(abs, self.braid), default=0) >= n:
             raise ValueError("braid indices must lie in [1, n-1]")
         object.__setattr__(self, "braid", free_reduce(self.braid))
-        object.__setattr__(self, "strands", n)
         object.__setattr__(self, "permutation", permutation(self.braid, n))
 
     def to_json(self) -> dict:
@@ -190,7 +187,6 @@ def _diagram(dom: Term, braid: BraidWord, cod: Term, perm: tuple[int, ...]) -> P
     _set(d, "dom", dom)
     _set(d, "braid", braid)
     _set(d, "cod", cod)
-    _set(d, "strands", n)
     _set(d, "permutation", perm)
     return d
 
@@ -281,19 +277,15 @@ def reduction_sites(d: PBDiagram) -> list[tuple[int, int]]:
     return out
 
 
-def diagram_reduce(d: PBDiagram, rng: random.Random | None = None) -> PBDiagram:
-    """Cancel caret pairs until none remains.
+def diagram_reduce(d: PBDiagram) -> PBDiagram:
+    """Cancel caret pairs until none remains, trying the sites leftmost first.
 
     A site cancels iff merging it and re-splitting reproduces the braid up
     to braid equality; that test makes reduction sound and complete relative
-    to the braid engine.  An rng shuffles the candidate order (used by the
-    confluence tests); the default is the deterministic leftmost order.
+    to the braid engine.
     """
     while True:
-        candidates = reduction_sites(d)
-        if rng is not None:
-            rng.shuffle(candidates)
-        for p, q in candidates:
+        for p, q in reduction_sites(d):
             merged = PBDiagram(
                 collapse_caret(d.dom, p),
                 _remove_strand(d.braid, p),
@@ -327,14 +319,14 @@ def _refine_cod_side(d: PBDiagram, middle: Term) -> tuple[Term, BraidWord]:
     """The cod and braid of d refined until its dom is `middle`; d's strands
     rank by their dom leaf.  Cached as `_refine_dom_side` is."""
     above = _leaf_subtrees(d.dom, middle)
-    bottom = tuple([above[k] for k in sorted(range(d.strands), key=d.permutation.__getitem__)])
-    return _graft(d.cod, bottom), _cable(d.braid, [t.size for t in above], range(d.strands))
+    bottom = tuple([above[k] for k in sorted(range(d.dom.size), key=d.permutation.__getitem__)])
+    return _graft(d.cod, bottom), _cable(d.braid, [t.size for t in above], range(d.dom.size))
 
 
 def split_strand(d: PBDiagram, k: int) -> PBDiagram:
     """Replace strand k (1-based dom leaf) by two parallel strands, as a
     product refines its right side to a dom with one more caret, at leaf k."""
-    if not 1 <= k <= d.strands:
+    if not 1 <= k <= d.dom.size:
         raise ValueError(f"strand {k} out of range")
     dom = add_caret(d.dom, k)
     cod, braid = _refine_cod_side(d, dom)
@@ -360,7 +352,7 @@ def diagram_multiply(d1: PBDiagram, d2: PBDiagram) -> PBDiagram:
 
 
 def diagram_inverse(d: PBDiagram) -> PBDiagram:
-    inv = [0] * d.strands
+    inv = [0] * d.dom.size
     for k, q in enumerate(d.permutation, start=1):
         inv[q - 1] = k
     return _diagram(d.cod, inverse(d.braid), d.dom, tuple(inv))

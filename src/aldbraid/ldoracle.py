@@ -96,7 +96,7 @@ def _fits(t: Term) -> bool:
 
 def _star_braid(t: Term) -> BraidWord:
     """eval_star_braid(t, ()), or ValueError when its word would exceed the cap."""
-    if not _fits(t):
+    if size(t) > MAX_WORD_LETTERS.bit_length():
         check_word_length(pb_term_length(t, 0))
     return eval_star_braid(t, ())
 

@@ -229,11 +229,12 @@ def _find_handle(w: list, start: int):
 
 
 def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
-    """(handle-free word, number of reductions), by rescanning for the
-    leftmost-closing handle and splicing each reduction into the list, which
-    moves the whole tail.  More than step_cap reductions raise
-    HandleReductionDefect."""
-    word = list(free_reduce(w))
+    """(handle-free word, number of reductions), by rescanning the word as
+    given for the leftmost-closing handle and splicing each reduction into
+    the list, which moves the whole tail.  A letter next to its inverse is
+    reduced as a handle with an empty interior and counted.  More than
+    step_cap reductions raise HandleReductionDefect."""
+    word = list(w)
     start = 0
     steps = 0
     while True:
@@ -262,10 +263,11 @@ def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
 def scan_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
     """(handle-free word, number of reductions), by `handle_reduce`'s stack
     pass with a plain look-back: each letter scans the stack down, letter by
-    letter, to the nearest letter of index <= its own.  More than step_cap
-    reductions raise HandleReductionDefect."""
+    letter, to the nearest letter of index <= its own.  A letter next to its
+    inverse is reduced as a handle with an empty interior and counted.  More
+    than step_cap reductions raise HandleReductionDefect."""
     done: list = []
-    todo = list(free_reduce(w)[::-1])
+    todo = list(w)[::-1]
     steps = 0
     while todo:
         x = todo.pop()

@@ -77,6 +77,14 @@ def test_handle_reduce_examples():
     assert permutation(r) != permutation(())  # nontrivial by the symmetric-group image
 
 
+def test_handle_reduce_counts_free_cancellations():
+    # each σ1 σ1⁻¹ is a handle with an empty interior, one reduction each
+    w = (1, -1) * 1000
+    assert handle_reduce(w, step_cap=1000) == ()
+    with pytest.raises(HandleReductionDefect):
+        handle_reduce(w, step_cap=999)
+
+
 def test_handle_reduce_sound_on_random_words():
     rng = random.Random(23)
     for _ in range(300):
@@ -89,23 +97,24 @@ def test_handle_reduce_sound_on_random_words():
 
 
 def test_handle_reduce_matches_the_splice_oracle_on_random_words():
-    # unreduced words too: the stack pass keeps the free-reduction pre-pass,
-    # so it reduces the same handles in the same order and hits the step cap
-    # at the same count
+    # raw words, where a letter next to its inverse is an empty handle that
+    # counts toward the step cap, and their free reductions: all three reduce
+    # the same handles in the same order and hit the step cap at the same count
     rng = random.Random(1997)
     reductions = 0
     for _ in range(3_000):
         w = random_word(rng, rng.randint(0, 40), rng.randint(1, 6))
-        expected, k = splice_handle_reduce(w)
-        assert scan_handle_reduce(w) == (expected, k), w
-        assert handle_reduce(w) == expected, w
-        _assert_cap_boundary(w, k, expected)
-        reductions += k
+        for u in (free_reduce(w), w):
+            expected, k = splice_handle_reduce(u)
+            assert scan_handle_reduce(u) == (expected, k), u
+            assert handle_reduce(u) == expected, u
+            _assert_cap_boundary(u, k, expected)
+        reductions += k  # of the raw word, the last one reduced
         v = random_word(rng, rng.randint(0, 20), 6)
         assert braid_compare(w, v) == splice_braid_compare(w, v), (w, v)
     assert reductions > 10_000
     # p·r1·s against p·r2·s with p of hundreds of letters, which braid_compare
-    # leaves to handle_reduce's free reduction, in both argument orders
+    # leaves to cancel_far_commuting, in both argument orders
     verdicts = []
     for _ in range(40):
         p = random_word(rng, rng.randint(200, 400))

@@ -243,6 +243,13 @@ def test_budget_below_input_size_exit(capsys):
         assert message in err, argv
 
 
+def test_budget_is_not_checked_when_the_i_parts_differ(capsys):
+    # the caps bound the closure on the J-entry pairs compared; a pair whose
+    # I-parts differ compares none, so it is answered whatever the caps
+    code, out, _ = run(capsys, "decide-ald", "x1*x2", "x2 o x1", "--budget", "1,10")
+    assert code == 1 and out.splitlines()[0] == "not-equal"
+
+
 def test_budget_size_below_one_exit(capsys):
     # refused with the flag, also on pairs that never reach the closure
     for pair in (("x", "x"), ("x1*x2", "x1*x2"), ("x1*x2", "(x1*x1)*x2")):

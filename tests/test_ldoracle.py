@@ -97,6 +97,8 @@ def test_caps_are_checked_before_any_verdict():
     for pair in ((s, t), (T("x1*x2"), T("x2*x1")), (T("x1*x2"), T("x1*x2"))):
         with pytest.raises(ValueError, match="size_cap"):
             decide_ld_bounded(*pair, size_cap=1)
+    # a pair whose I-parts differ compares no J-entry pair, so no cap applies
+    assert decide_ald(T("x1*x2"), T("x2 o x1"), size_cap=1) is Verdict.NOT_EQUAL
     # one-variable pairs are decided whatever the caps
     assert decide_ld_bounded(T("x*x"), T("x*x"), size_cap=1, step_cap=0) is Verdict.EQUAL
     assert decide_ld_bounded(T("x*x"), T("(x*x)*x"), size_cap=1, step_cap=0) is Verdict.NOT_EQUAL
