@@ -13,11 +13,12 @@ pass through unchanged, and the two σ_i letters vanish.  Every reduction
 sequence terminates, and a handle-free word is empty or has its lowest-index
 generator occurring with a single sign (σ-positive or σ-negative).
 `handle_reduce` reads the word as given (free cancellation is a handle with
-an empty interior) and always reduces the leftmost-closing handle, in one
-stack pass that puts each rewritten interior back onto the letters still to
-read, so no reduction moves the rest of the word; its look-back for the
-nearest letter of index <= i follows skip pointers over runs of higher
-indices, so a word over many indices costs no quadratic scan.
+an empty interior, which its defect-detector cap does not count) and always
+reduces the leftmost-closing handle, in one stack pass that puts each
+rewritten interior back onto the letters still to read, so no reduction
+moves the rest of the word; its look-back for the nearest letter of index
+<= i follows skip pointers over runs of higher indices, so a word over many
+indices costs no quadratic scan.
 The sign of a handle-free word decides the order: w1 < w2 iff w1⁻¹ w2
 reduces to a σ-positive word, which makes the order total, left-invariant,
 and compatible with equality.  Equality cuts one thing more: p·r1·s =
@@ -123,7 +124,7 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     whose interior leaves `done` and goes back onto `todo` rewritten.  Every
     reduction is thus the leftmost-closing one, as in a rescan from the
     handle's start.  A letter next to its inverse closes a handle with an
-    empty interior, and that counts as one reduction toward the step cap.
+    empty interior.
 
     The look-back follows skip pointers: `below[p]` is the nearest position
     under p whose letter has a smaller index than done[p], so every letter
@@ -136,7 +137,10 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
     a word over many indices costs time quadratic in its length.
 
     The step cap is a defect detector only: handle reduction terminates, so
-    hitting the cap raises HandleReductionDefect, never a weaker answer.
+    hitting the cap raises HandleReductionDefect, never a weaker answer.  It
+    counts the reductions of handles with a nonempty interior: a free
+    cancellation removes two letters and pushes none, so it cannot keep the
+    pass from ending, and a long word is not refused for its length.
     """
     done: list[int] = []
     below: list[int] = []
@@ -152,9 +156,10 @@ def handle_reduce(w: BraidWord, step_cap: int = 1_000_000) -> BraidWord:
             below.append(below[j] if j >= 0 and done[j] == x else j)
             done.append(x)
             continue
-        steps += 1
-        if steps > step_cap:
-            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
+        if j + 1 < len(done):  # a free cancellation is not counted
+            steps += 1
+            if steps > step_cap:
+                raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
         # done[j] = σ_i^e: each σ_{i+1}^d of the interior becomes
         # σ_{i+1}^{-e} σ_i^d σ_{i+1}^e, pushed onto todo last letter first
         h = i + 1

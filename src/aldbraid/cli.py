@@ -45,7 +45,6 @@ from .pbwords import (
     audit_derived_identities,
     check_word_length,
     parse_pb,
-    pb_closed_length,
     pb_eval_closed,
     pb_eval_term,
     pb_term_length,
@@ -54,7 +53,6 @@ from .pbwords import (
 )
 from .terms import (
     MAX_DEPTH,
-    ParseError,
     Term,
     circ_cmp,
     enumerate_terms,
@@ -348,21 +346,16 @@ def cmd_eval(args) -> int:
     t = parse_term(args.term)
     gamma = parse_pb(args.gamma)
     # every mode refuses, before building anything, a term whose word would
-    # be too long; the diagram mode evaluates the recursive word's element,
-    # and its braid grows with that word
-    if args.mode == "closed-form":
-        v, ts = inv_I(t), inv_J(t)
-        check_word_length(pb_closed_length(v, ts, len(gamma)))
-        word = pb_eval_closed(v, ts, gamma)
-        _emit(args, {"word": render_pb(word)}, [render_pb(word)])
-        return EX_EQUAL
-    check_word_length(pb_term_length(t, len(gamma)))
+    # be too long; the closed form's word is as long as the special form's,
+    # and the diagram mode's braid grows with the recursive word
+    closed = args.mode == "closed-form"
+    check_word_length(pb_term_length(specialize(t) if closed else t, len(gamma)))
     if args.mode == "diagram":
         d = diagram_eval_term(t, word_to_diagram(gamma))
         _emit(args, d.to_json(), [json.dumps(d.to_json())])
-    else:
-        word = pb_eval_term(t, gamma)
-        _emit(args, {"word": render_pb(word)}, [render_pb(word)])
+        return EX_EQUAL
+    word = pb_eval_closed(inv_I(t), inv_J(t), gamma) if closed else pb_eval_term(t, gamma)
+    _emit(args, {"word": render_pb(word)}, [render_pb(word)])
     return EX_EQUAL
 
 
@@ -474,7 +467,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         # argparse exits 2 on a usage error, and 2 is the "unknown" verdict here
         return EX_USAGE if exit_.code == 2 else exit_.code
-    except (ParseError, ValueError) as err:
+    except ValueError as err:  # a ParseError too
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
     except RecursionError:

@@ -26,8 +26,10 @@ term size and in expansion count; a pair that passes the three tests and
 whose closure misses the other term within the caps is UNKNOWN.
 
 No braid word longer than `pbwords.MAX_WORD_LETTERS` is built (a left comb
-of n leaves evaluates to 2^(n-1) - 1 letters): the one-variable decision
-refuses such a term with a ValueError, and the evaluation test is skipped.
+of n leaves evaluates to 2^(n-1) - 1 letters): every evaluation goes
+through `_star_braid`, which refuses such a term with a ValueError; the
+one-variable decision passes it on, and the evaluation test of other pairs
+is skipped.
 """
 
 from __future__ import annotations
@@ -85,17 +87,12 @@ def decide_ld_1var(s: Term, t: Term) -> int:
     return braid_compare(_star_braid(s), _star_braid(t))
 
 
-def _fits(t: Term) -> bool:
-    """Whether eval_star_braid(t, ()) has at most MAX_WORD_LETTERS letters.
+def _star_braid(t: Term) -> BraidWord:
+    """eval_star_braid(t, ()), or ValueError when its word would exceed the cap.
 
     n leaves evaluate to at most 2^(n-1) - 1 letters (the left comb), so only
     larger terms need their exact length, len(b * c) = 2·len(b) + len(c) + 1.
     """
-    return size(t) <= MAX_WORD_LETTERS.bit_length() or pb_term_length(t, 0) <= MAX_WORD_LETTERS
-
-
-def _star_braid(t: Term) -> BraidWord:
-    """eval_star_braid(t, ()), or ValueError when its word would exceed the cap."""
     if size(t) > MAX_WORD_LETTERS.bit_length():
         check_word_length(pb_term_length(t, 0))
     return eval_star_braid(t, ())
@@ -170,8 +167,11 @@ def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
         return Verdict.EQUAL
     if variables(s) != variables(t) or rightmost_variable(s) != rightmost_variable(t):
         return Verdict.NOT_EQUAL
-    if _fits(s) and _fits(t) and not braid_equal(eval_star_braid(s, ()), eval_star_braid(t, ())):
-        return Verdict.NOT_EQUAL
+    try:
+        if not braid_equal(_star_braid(s), _star_braid(t)):
+            return Verdict.NOT_EQUAL
+    except ValueError:
+        pass  # a word would exceed the cap: the test is skipped
     if t in ld_closure(s, size_cap, step_cap, target=t):
         return Verdict.EQUAL
     return Verdict.UNKNOWN

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .terms import CIRC, Compound, Term, Variable, X, right_spine, size, x_power
+from .terms import CIRC, Compound, Term, Variable, X, is_circ_term, right_spine, size, x_power
 
 PBLetter = tuple  # (family: "s" | "a", signed index)
 PBWord = tuple  # tuple[PBLetter, ...]
@@ -132,29 +132,24 @@ def pb_term_length(t: Term, gamma_len: int) -> int:
 
 
 def v_of_1(v: Term) -> PBWord:
-    """Evaluation of a one-variable ∘-term at the identity: a pure a-word."""
-    if isinstance(v, Variable):
-        return ()
-    if v.op != CIRC:
+    """Evaluation of a one-variable ∘-term at the identity: a pure a-word,
+    with one letter a caret."""
+    if not is_circ_term(v):
         raise ValueError("expected a ∘-term")
-    return v_of_1(v.left) + pb_shift(v_of_1(v.right)) + A1
+    return pb_eval_term(v, ())
 
 
 def pb_eval_closed(v: Term, ts: Sequence[Term], g: PBWord) -> PBWord:
     """Closed form of the evaluation of v[t1..tp]:
-    t1(g) · ∂t2(g) · ... · ∂^{p-1}tp(g) · v(1)."""
+    t1(g) · ∂t2(g) · ... · ∂^{p-1}tp(g) · v(1).  Shifting keeps lengths and
+    v(1) has one letter a caret, so the word is as long as pb_eval_term's of
+    the special form v[t1..tp]."""
     if size(v) != len(ts):
         raise ValueError(f"need {size(v)} terms, got {len(ts)}")
     word: PBWord = ()
     for k, tk in enumerate(ts):
         word += pb_shift(pb_eval_term(tk, g), k)
     return word + v_of_1(v)
-
-
-def pb_closed_length(v: Term, ts: Sequence[Term], gamma_len: int) -> int:
-    """The length of pb_eval_closed(v, ts, g) for a word g of gamma_len
-    letters: shifting keeps lengths, and v(1) has one letter per caret."""
-    return sum(pb_term_length(tk, gamma_len) for tk in ts) + size(v) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +311,8 @@ EqOracle = Callable[[PBWord, PBWord], bool]
 
 def check_shift_intertwine(v: Term, b: PBWord, eq: EqOracle) -> bool:
     """v(1) · ∂b = ∂^p b · v(1) for p = size(v), under the given oracle."""
-    lhs = v_of_1(v) + pb_shift(b)
-    rhs = pb_shift(b, size(v)) + v_of_1(v)
-    return eq(lhs, rhs)
+    v1 = v_of_1(v)
+    return eq(v1 + pb_shift(b), pb_shift(b, size(v)) + v1)
 
 
 def derived_identity_instances(z_samples: Sequence[PBWord]) -> list[tuple[str, PBWord | None, PBWord, PBWord]]:

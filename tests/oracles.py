@@ -49,10 +49,16 @@ the whole term, where the package reads facts cached on each node.
 `recursive_eval_star_braid` and `recursive_pb_eval_term` recurse into both
 operands of every node, uncached, where `eval_star_braid` and `pb_eval_term`
 loop up the rightmost branch and recurse only into left operands.
+`recursive_v_of_1` builds v(1) = v1(1) · ∂v2(1) · a1 for v = v1 ∘ v2,
+where `v_of_1` is `pb_eval_term` at the empty word.  `closed_form_length`
+adds the lengths of the closed form's factors, each *-term's by a plain
+recursion, where the `eval` command takes `pb_term_length` of the special
+form.
 `splice_handle_reduce` rescans for the leftmost-closing handle after each
 reduction and splices the rewritten interior into the list, where
 `handle_reduce` reads the word once onto a stack; the two must agree
-letter for letter and in the number of reductions.  `scan_handle_reduce`
+letter for letter and in the number of reductions, where a free
+cancellation is not counted.  `scan_handle_reduce`
 is that stack pass with a plain look-back, which walks the stack down letter
 by letter, where `handle_reduce` jumps along skip pointers; the two must
 agree in the same way.  `splice_braid_compare`
@@ -104,7 +110,7 @@ from aldbraid.diagrams import (
 )
 from aldbraid.invariants import inv_I, inv_J
 from aldbraid.ldoracle import DEFAULT_STEP_CAP, Verdict, default_size_cap, ld_closure
-from aldbraid.pbwords import MAX_WORD_LETTERS, pb_circ, pb_star, render_pb
+from aldbraid.pbwords import A1, MAX_WORD_LETTERS, pb_circ, pb_shift, pb_star, render_pb
 from aldbraid.terms import (
     ALD1,
     ALD2,
@@ -125,6 +131,7 @@ from aldbraid.terms import (
     replace_at,
     rightmost_variable,
     seq_sq,
+    size,
     subterm_at,
 )
 
@@ -232,8 +239,9 @@ def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
     """(handle-free word, number of reductions), by rescanning the word as
     given for the leftmost-closing handle and splicing each reduction into
     the list, which moves the whole tail.  A letter next to its inverse is
-    reduced as a handle with an empty interior and counted.  More than
-    step_cap reductions raise HandleReductionDefect."""
+    reduced as a handle with an empty interior, and not counted.  More than
+    step_cap reductions of handles with a nonempty interior raise
+    HandleReductionDefect."""
     word = list(w)
     start = 0
     steps = 0
@@ -241,10 +249,11 @@ def splice_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
         found = _find_handle(word, start)
         if found is None:
             break
-        steps += 1
-        if steps > step_cap:
-            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
         j, k = found
+        if k > j + 1:
+            steps += 1
+            if steps > step_cap:
+                raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
         e = 1 if word[j] > 0 else -1
         i = abs(word[j])
         replacement: list = []
@@ -264,8 +273,9 @@ def scan_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
     """(handle-free word, number of reductions), by `handle_reduce`'s stack
     pass with a plain look-back: each letter scans the stack down, letter by
     letter, to the nearest letter of index <= its own.  A letter next to its
-    inverse is reduced as a handle with an empty interior and counted.  More
-    than step_cap reductions raise HandleReductionDefect."""
+    inverse is reduced as a handle with an empty interior, and not counted.
+    More than step_cap reductions of handles with a nonempty interior raise
+    HandleReductionDefect."""
     done: list = []
     todo = list(w)[::-1]
     steps = 0
@@ -278,9 +288,10 @@ def scan_handle_reduce(w, step_cap: int = 1_000_000) -> tuple:
         if j < 0 or done[j] != -x:
             done.append(x)
             continue
-        steps += 1
-        if steps > step_cap:
-            raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
+        if j + 1 < len(done):
+            steps += 1
+            if steps > step_cap:
+                raise HandleReductionDefect("handle reduction exceeded its defect-detector cap")
         h = i + 1
         up = -h if x > 0 else h
         for z in reversed(done[j + 1 :]):
@@ -760,6 +771,31 @@ def recursive_pb_eval_term(t, g):
     return pb_star(left, right) if t.op == STAR else pb_circ(left, right)
 
 
+def recursive_v_of_1(v):
+    """v(1) of a ∘-term by v(1) = v1(1) · ∂v2(1) · a1 for v = v1 ∘ v2,
+    every leaf evaluating to the empty word."""
+    if isinstance(v, Variable):
+        return ()
+    if v.op != CIRC:
+        raise ValueError("expected a ∘-term")
+    return recursive_v_of_1(v.left) + pb_shift(recursive_v_of_1(v.right)) + A1
+
+
+def star_word_length(t, gamma_len: int = 0) -> int:
+    """The length of the word of a *-term with every variable sent to a word
+    of gamma_len letters, by len(b * c) = 2·len(b) + len(c) + 1."""
+    if isinstance(t, Variable):
+        return gamma_len
+    return 2 * star_word_length(t.left, gamma_len) + star_word_length(t.right, gamma_len) + 1
+
+
+def closed_form_length(v, ts, gamma_len: int) -> int:
+    """The length of the closed form t1(g) · ∂t2(g) ⋯ ∂^(p-1)tp(g) · v(1) for
+    *-terms ts and a word g of gamma_len letters: shifting keeps lengths,
+    and v(1) has one letter a caret."""
+    return sum(star_word_length(tk, gamma_len) for tk in ts) + size(v) - 1
+
+
 def x_projection(t):
     """The image of t under the assignment x_i ↦ x for every i."""
     if isinstance(t, Variable):
@@ -779,17 +815,11 @@ def one_variable_braid(t):
     return braid_ld(one_variable_braid(t.left), one_variable_braid(t.right))
 
 
-def _one_variable_braid_length(t) -> int:
-    if isinstance(t, Variable):
-        return 0
-    return 2 * _one_variable_braid_length(t.left) + _one_variable_braid_length(t.right) + 1
-
-
 def projections_differ(s, t) -> bool:
     """Whether the x_i ↦ x projections of s and t have different braids;
     False when the projections are equal or a braid would exceed the cap."""
     ps, pt = x_projection(s), x_projection(t)
-    if ps == pt or max(map(_one_variable_braid_length, (ps, pt))) > MAX_WORD_LETTERS:
+    if ps == pt or max(map(star_word_length, (ps, pt))) > MAX_WORD_LETTERS:
         return False
     return not quotient_braid_equal(one_variable_braid(ps), one_variable_braid(pt))
 

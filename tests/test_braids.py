@@ -77,12 +77,14 @@ def test_handle_reduce_examples():
     assert permutation(r) != permutation(())  # nontrivial by the symmetric-group image
 
 
-def test_handle_reduce_counts_free_cancellations():
-    # each σ1 σ1⁻¹ is a handle with an empty interior, one reduction each
-    w = (1, -1) * 1000
-    assert handle_reduce(w, step_cap=1000) == ()
+def test_handle_reduce_step_cap_skips_free_cancellations():
+    # each σ1 σ1⁻¹ is a handle with an empty interior, which removes two
+    # letters and pushes none: the defect-detector cap does not count it,
+    # so a long raw word is not refused for its length
+    assert handle_reduce((1, -1) * 1000, step_cap=0) == ()
+    assert handle_reduce((1, -1) * 1_200_000) == ()
     with pytest.raises(HandleReductionDefect):
-        handle_reduce(w, step_cap=999)
+        handle_reduce((1, 2, -1), step_cap=0)
 
 
 def test_handle_reduce_sound_on_random_words():
@@ -98,7 +100,7 @@ def test_handle_reduce_sound_on_random_words():
 
 def test_handle_reduce_matches_the_splice_oracle_on_random_words():
     # raw words, where a letter next to its inverse is an empty handle that
-    # counts toward the step cap, and their free reductions: all three reduce
+    # the step cap does not count, and their free reductions: all three reduce
     # the same handles in the same order and hit the step cap at the same count
     rng = random.Random(1997)
     reductions = 0
@@ -529,6 +531,7 @@ def test_handle_reduce_defects_survive_optimize_mode():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "from aldbraid.braids import HandleReductionDefect, handle_reduce\n"
+        "print(handle_reduce((1, -1) * 1000, step_cap=0))\n"
         "try:\n"
         "    print(handle_reduce((1, 2, -1), step_cap=0))\n"
         "except HandleReductionDefect as err:\n"
@@ -539,7 +542,7 @@ def test_handle_reduce_defects_survive_optimize_mode():
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["HandleReductionDefect", "True", "False"]
+    assert result.stdout.split() == ["()", "HandleReductionDefect", "True", "False"]
 
 
 def test_braid_key_relations():

@@ -214,7 +214,6 @@ SELF_RECURSIVE = {
     "invariants._special_steps": _PARSED,
     "invariants._star_steps": _PARSED,
     "pbwords.pb_eval_term": _LEFT,
-    "pbwords.v_of_1": _PARSED,
     "terms._parse_expr": _PARSED,
     "terms.render_term": _LEFT,
     "terms.is_special": _PARSED,

@@ -14,7 +14,6 @@ from aldbraid.pbwords import (
     parse_pb,
     pb_act_term,
     pb_circ,
-    pb_closed_length,
     pb_eval_closed,
     pb_eval_term,
     pb_free_reduce,
@@ -26,7 +25,7 @@ from aldbraid.pbwords import (
     render_pb,
     v_of_1,
 )
-from aldbraid.invariants import specialize
+from aldbraid.invariants import inv_I, inv_J, specialize
 from aldbraid.terms import (
     X,
     Compound,
@@ -38,7 +37,7 @@ from aldbraid.terms import (
     star_chain,
     x_power,
 )
-from oracles import recursive_pb_eval_term, value_or_error
+from oracles import closed_form_length, recursive_pb_eval_term, recursive_v_of_1, value_or_error
 
 W = parse_pb
 T = parse_term
@@ -92,6 +91,16 @@ def test_v_of_1():
     assert v_of_1(T("(x o x) o x")) == W("a1 a1")
     with pytest.raises(ValueError):
         v_of_1(T("x*x"))
+    # a ∘-term over two variables is refused, as pb_eval_term refuses it
+    with pytest.raises(ValueError, match="one-variable"):
+        v_of_1(T("x1 o x2"))
+
+
+def test_v_of_1_matches_the_recursive_oracle():
+    for v in enumerate_terms(1, "o", 9):
+        assert v_of_1(v) == recursive_v_of_1(v)
+    for t in enumerate_terms(1, "*o", 6):
+        assert value_or_error(v_of_1, t) == value_or_error(recursive_v_of_1, t)
 
 
 def test_pb_eval_closed():
@@ -111,11 +120,18 @@ def test_pb_eval_closed_matches_recursive_letterwise_when_skeletal():
 
 
 def test_word_lengths_from_the_term():
+    # the closed form of t is as long as the recursive word of its special form
     for t in enumerate_terms(1, "*o", 5):
         v, ts = decompose_special(specialize(t))
         for g in ((), W("s1"), W("s1 a2 A1")):
             assert pb_term_length(t, len(g)) == len(pb_eval_term(t, g))
-            assert pb_closed_length(v, ts, len(g)) == len(pb_eval_closed(v, ts, g))
+            assert pb_term_length(specialize(t), len(g)) == len(pb_eval_closed(v, ts, g))
+
+
+def test_special_form_length_matches_the_closed_form_oracle():
+    for t in enumerate_terms(2, "*o", 5):
+        for n in (0, 1, 3):
+            assert pb_term_length(specialize(t), n) == closed_form_length(inv_I(t), inv_J(t), n)
 
 
 def test_word_length_of_shared_and_deep_terms():
