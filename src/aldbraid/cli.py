@@ -345,9 +345,8 @@ def cmd_normalize(args) -> int:
 def cmd_eval(args) -> int:
     t = parse_term(args.term)
     gamma = parse_pb(args.gamma)
-    # every mode refuses, before building anything, a term whose word would
-    # be too long; the closed form's word is as long as the special form's,
-    # and the diagram mode's braid grows with the recursive word
+    # refused before anything is built: a term whose word would be too long (the
+    # closed form's is as long as the special form's); `_cable` caps the diagram braid
     closed = args.mode == "closed-form"
     check_word_length(pb_term_length(specialize(t) if closed else t, len(gamma)))
     if args.mode == "diagram":

@@ -44,9 +44,9 @@ from .braids import (
     permutation,
     render_braid,
 )
-from .pbwords import PBWord, pb_free_reduce
+from .pbwords import PBWord, check_word_length, pb_free_reduce
 from .terms import CIRC, MAX_DEPTH, STAR, Compound, Term, Variable, X
-from .terms import right_spine, size, substitute, x_power
+from .terms import fold, is_one_variable, right_spine, size, substitute, x_power
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWor
     position p becomes the a*b crossings e*(p+j+k), j over the left block
     from a-1 down to 0 and k over the right block from 0 to b-1.  The block
     with the lower rank (refined first caret by caret) is the outer loop;
-    either order gives the same braid."""
+    either order gives the same braid.  A braid past the word cap is refused."""
     strand = list(range(len(widths)))  # by current position
     start = [1]  # first cabled position of each current position
     for w in widths:
@@ -237,10 +237,12 @@ def _cable(braid: BraidWord, widths: list[int], rank: Sequence[int]) -> BraidWor
         e = 1 if x > 0 else -1
         if a == b == 1:
             out.append(e * p)
-        elif rank[s] < rank[t]:
-            out += [e * (p + j + k) for j in range(a - 1, -1, -1) for k in range(b)]
         else:
-            out += [e * (p + j + k) for k in range(b) for j in range(a - 1, -1, -1)]
+            check_word_length(len(out) + a * b)
+            if rank[s] < rank[t]:
+                out += [e * (p + j + k) for j in range(a - 1, -1, -1) for k in range(b)]
+            else:
+                out += [e * (p + j + k) for k in range(b) for j in range(a - 1, -1, -1)]
         strand[i - 1], strand[i] = t, s
         start[i] = p + b
     return tuple(out)
@@ -438,43 +440,33 @@ _A1_INV_SIGMA1 = diagram_multiply(_letter_diagram("a", -1), _letter_diagram("s",
 
 
 def diagram_eval_term(t: Term, g: PBDiagram, _cache: dict | None = None) -> PBDiagram:
-    """Evaluate a one-variable term at the diagram g; memoizes subterms.
+    """Evaluate a one-variable term at the diagram g; _cache is the fold's memo.
 
     b ∘ c = b · H(c) with H(c) = sh(c) · a1, and b * c = (b ∘ c) · G(b) with
     G(b) = (a1⁻¹ · σ1) · sh(b)⁻¹, since b * c = b · sh(c) · σ1 · sh(b)⁻¹ and
     products are associative.  H(c) stays in the cache under (CIRC, c) and
     G(b) under (STAR, b), and b * c takes b ∘ c from the cache under its
     term, so each term pair costs two products, plus one per distinct right
-    operand and one per distinct left operand of a `*`; a1⁻¹ · σ1 is built
-    once, at import.  Every product ends in `diagram_reduce`, so the
-    evaluations of a reduced g, such as those of `word_to_diagram`, are
-    reduced too."""
+    operand and one per distinct left operand of a `*`.  Every product ends
+    in `diagram_reduce`, so the evaluations of a reduced g, such as those of
+    `word_to_diagram`, are reduced too."""
+    if not is_one_variable(t):
+        raise ValueError("term must be one-variable")
     if _cache is None:
         _cache = {}
-    if t in _cache:
-        return _cache[t]
-    if isinstance(t, Variable):
-        if t.index != 1:
-            raise ValueError("term must be one-variable")
-        result = g
-    else:
-        left = diagram_eval_term(t.left, g, _cache)
-        right = diagram_eval_term(t.right, g, _cache)
-        circ = t if t.op == CIRC else Compound(CIRC, t.left, t.right)
-        result = _cache.get(circ)
-        if result is None:
-            h = _cache.get((CIRC, t.right))
-            if h is None:
-                h = _cache[CIRC, t.right] = diagram_multiply(
-                    diagram_shift(right), _letter_diagram("a", 1)
-                )
-            result = _cache[circ] = diagram_multiply(left, h)
-        if t.op == STAR:
-            gb = _cache.get((STAR, t.left))
-            if gb is None:
-                gb = _cache[STAR, t.left] = diagram_multiply(
-                    _A1_INV_SIGMA1, diagram_inverse(diagram_shift(left))
-                )
-            result = diagram_multiply(result, gb)
-    _cache[t] = result
-    return result
+
+    def combine(node: Compound, b: PBDiagram, c: PBDiagram) -> PBDiagram:
+        circ = node if node.op == CIRC else Compound(CIRC, node.left, node.right)
+        h_key = (CIRC, node.right)
+        g_key = (STAR, node.left)
+        if circ not in _cache:
+            if h_key not in _cache:
+                _cache[h_key] = diagram_multiply(diagram_shift(c), _letter_diagram("a", 1))
+            _cache[circ] = diagram_multiply(b, _cache[h_key])
+        if node.op == CIRC:
+            return _cache[circ]
+        if g_key not in _cache:
+            _cache[g_key] = diagram_multiply(_A1_INV_SIGMA1, diagram_inverse(diagram_shift(b)))
+        return diagram_multiply(_cache[circ], _cache[g_key])
+
+    return fold(t, lambda x: g, combine, _cache)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .terms import CIRC, Compound, Term, Variable, X, is_circ_term, right_spine, size, x_power
+from .terms import CIRC, Compound, Term, X, fold, is_circ_term, right_spine, size, x_power
 
 PBLetter = tuple  # (family: "s" | "a", signed index)
 PBWord = tuple  # tuple[PBLetter, ...]
@@ -113,22 +113,13 @@ def pb_eval_term(t: Term, g: PBWord) -> PBWord:
     return word
 
 
+def _length_op(node: Compound, b: int, c: int) -> int:
+    return 2 * b + c + 1 if node.op == "*" else b + c + 1
+
+
 def pb_term_length(t: Term, gamma_len: int) -> int:
-    """The length of pb_eval_term(t, g) for a word g of gamma_len letters,
-    computed from the term without building the word, on an explicit stack
-    that works out each distinct node once, for any depth and sharing."""
-    length: dict = {}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Variable):
-            length[node] = gamma_len
-        elif node.left in length and node.right in length:
-            b, c = length[node.left], length[node.right]
-            length[node] = 2 * b + c + 1 if node.op == "*" else b + c + 1
-        else:
-            stack += (node, node.right, node.left)
-    return length[t]
+    """len(pb_eval_term(t, g)) for a word g of gamma_len letters, without building the word."""
+    return fold(t, lambda v: gamma_len, _length_op, {})
 
 
 def v_of_1(v: Term) -> PBWord:

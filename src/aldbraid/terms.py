@@ -27,7 +27,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 STAR = "*"
 CIRC = "o"
@@ -168,11 +168,10 @@ class LawInstance:
 #: Deepest nesting of operators and parentheses that parse_term accepts: the
 #: walks of parsed input and of its I-parts (inv_J, circ_cmp, ...) recurse
 #: once per level, and deeper terms overflow the stack.  Derived terms and
-#: trees are deep only along a right spine (see right_spine), which their
-#: walks (substitute, the tree helpers of `diagrams`, ...) loop down.  Two
-#: walks still recurse that deep: replace_at, to the LD closure's rewriting
-#: positions, and the tree walks, into the left nesting that a long run of
-#: regrouping letters builds.  Hashing, equality and size take any depth.
+#: trees are deep only along a right spine, which their walks loop down;
+#: `fold`, hashing, equality and size take any depth.  replace_at still
+#: recurses to the LD closure's rewriting positions, and the tree walks into
+#: the left nesting that a long run of regrouping letters builds.
 MAX_DEPTH = 200
 
 
@@ -284,6 +283,25 @@ def right_spine(t: Term) -> tuple[list[Compound], Variable]:
         spine.append(t)
         t = t.right
     return spine, t
+
+
+def fold(t: Term, leaf: Callable[[Variable], object], combine: Callable, memo: dict):
+    """t folded bottom-up: leaf(v) at each variable v, combine(node, left
+    value, right value) at each compound, on an explicit stack that works out
+    each distinct node once, the left operand first.  memo maps the nodes done
+    to their values; a caller may seed it, or share it across calls."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node in memo:
+            continue
+        if isinstance(node, Variable):
+            memo[node] = leaf(node)
+        elif node.left in memo and node.right in memo:
+            memo[node] = combine(node, memo[node.left], memo[node.right])
+        else:
+            stack += (node, node.right, node.left)
+    return memo[t]
 
 
 def ht_r(t: Term) -> int:

@@ -49,6 +49,10 @@ the whole term, where the package reads facts cached on each node.
 `recursive_eval_star_braid` and `recursive_pb_eval_term` recurse into both
 operands of every node, uncached, where `eval_star_braid` and `pb_eval_term`
 loop up the rightmost branch and recurse only into left operands.
+`recursive_diagram_eval_term` is the diagram evaluation by recursion into
+both operands, with the same products and cache entries as
+`diagram_eval_term`, which folds the term on an explicit stack; the two must
+agree letter for letter.
 `recursive_v_of_1` builds v(1) = v1(1) · ∂v2(1) · a1 for v = v1 ∘ v2,
 where `v_of_1` is `pb_eval_term` at the empty word.  `closed_form_length`
 adds the lengths of the closed form's factors, each *-term's by a plain
@@ -628,6 +632,42 @@ def struct_eval_diagram(s, g, memo: dict):
             right = struct_eval_diagram(s.right, g, memo)
             memo[s] = (diagram_star if s.op == "*" else diagram_circ)(left, right)
     return memo[s]
+
+
+def recursive_diagram_eval_term(t, g, cache=None):
+    """Evaluate a one-variable term at the diagram g by recursion into both
+    operands, with the H(c)/G(b) factorization and the cache entries of
+    `diagram_eval_term`: b ∘ c = b · H(c) with H(c) = sh(c) · a1 under
+    (CIRC, c), b * c = (b ∘ c) · G(b) with G(b) = (a1⁻¹ · σ1) · sh(b)⁻¹
+    under (STAR, b)."""
+    if cache is None:
+        cache = {}
+    if t in cache:
+        return cache[t]
+    if isinstance(t, Variable):
+        if t.index != 1:
+            raise ValueError("term must be one-variable")
+        result = g
+    else:
+        left = recursive_diagram_eval_term(t.left, g, cache)
+        right = recursive_diagram_eval_term(t.right, g, cache)
+        circ = t if t.op == CIRC else Compound(CIRC, t.left, t.right)
+        result = cache.get(circ)
+        if result is None:
+            h = cache.get((CIRC, t.right))
+            if h is None:
+                h = cache[CIRC, t.right] = diagram_multiply(diagram_shift(right), gen_a(1))
+            result = cache[circ] = diagram_multiply(left, h)
+        if t.op == STAR:
+            gb = cache.get((STAR, t.left))
+            if gb is None:
+                a1_inv_sigma1 = diagram_multiply(diagram_inverse(gen_a(1)), gen_sigma(1))
+                gb = cache[STAR, t.left] = diagram_multiply(
+                    a1_inv_sigma1, diagram_inverse(diagram_shift(left))
+                )
+            result = diagram_multiply(result, gb)
+    cache[t] = result
+    return result
 
 
 def _diagram_key(d):

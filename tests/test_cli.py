@@ -96,11 +96,12 @@ def test_long_left_comb_decisions_exit_64(capsys):
         assert time.perf_counter() - start < 1, command
 
 
-def _deep_derived_term(leaf="x"):
-    # seven 150-leaf ∘-combs chained by *, ending in leaf: the text nests 8
-    # deep, but the one J entry is a right *-comb of 1,050 x's onto leaf
+def _deep_derived_term(leaf="x", combs=7):
+    # seven (or `combs`) 150-leaf ∘-combs chained by *, ending in leaf: the
+    # text nests 8 deep, but the one J entry is a right *-comb of 1,050 x's
+    # onto leaf
     comb = "(" + " o ".join(["x"] * 150) + ")"
-    return "*(".join([comb] * 7) + f"*{leaf}" + ")" * 6
+    return "*(".join([comb] * combs) + f"*{leaf}" + ")" * (combs - 1)
 
 
 def test_deeply_nested_derived_terms_get_verdicts(capsys):
@@ -162,6 +163,20 @@ def test_deep_derived_term_diagram_evaluation_answers(capsys):
     assert json.loads(out) == word_to_diagram(pb_eval_term(parse_term(t), ())).to_json()
     for mode in ("--recursive", "--closed-form"):
         assert run(capsys, "eval", t, "", mode)[0] == 0, mode
+
+
+def test_diagram_braid_past_the_word_cap_exits_64(capsys):
+    # strand splitting cables a crossing of blocks of widths a and b into a·b
+    # crossings: at s1 a2 the braid passes the cap at the seventh comb from
+    # the leaf (six make 813,601 letters), while the recursive word of all
+    # sixteen has 14,386 letters
+    t = _deep_derived_term(combs=16)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", t, "s1 a2", "--diagram")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: a word of ") and err.count("\n") == 1
+    assert err.endswith(f" letters exceeds the cap of {MAX_WORD_LETTERS}\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_word_driven_left_nesting_exits_64(capsys):

@@ -26,11 +26,13 @@ from oracles import (
     _split_one_strand,
     multiply_by_splitting,
     recursive_collapse_caret,
+    recursive_diagram_eval_term,
     recursive_leaf_subtrees,
     recursive_sibling_leaf_pairs,
     recursive_substitute,
     recursive_tree_join,
     recursive_tree_pattern,
+    value_or_error,
     word_eq_by_diagrams,
     word_to_diagram_by_letters,
 )
@@ -257,6 +259,21 @@ def test_private_constructor_checks_leaf_counts():
         diagrams._diagram(x_power(2), (), x_power(3), (1, 2))
     with pytest.raises(ValueError):
         diagrams._diagram(x_power(3), (), x_power(3), (1, 2))
+
+
+def test_diagram_eval_term_matches_the_recursive_oracle():
+    # the fold makes the recursion's products on the same operands, so the
+    # words agree letter for letter and the caches hold the same keys
+    for g in _default_word_diagrams():
+        cache, oracle_cache = {}, {}
+        for t in enumerate_terms(1, "*o", 7):
+            d, ref = diagram_eval_term(t, g, cache), recursive_diagram_eval_term(t, g, oracle_cache)
+            assert (d.dom, d.braid, d.cod) == (ref.dom, ref.braid, ref.cod), t
+        assert cache.keys() == oracle_cache.keys()
+        for t in enumerate_terms(2, "*o", 3):
+            assert value_or_error(diagram_eval_term, t, g) == value_or_error(
+                recursive_diagram_eval_term, t, g
+            )
 
 
 def test_evaluations_are_reduced():

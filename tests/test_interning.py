@@ -208,7 +208,6 @@ SELF_RECURSIVE = {
     "diagrams.sibling_leaf_pairs": _LEFT,
     "diagrams.tree_join": _LEFT,
     "diagrams._leaf_subtrees": _LEFT,
-    "diagrams.diagram_eval_term": _PARSED,
     "invariants.inv_I": _PARSED,
     "invariants.inv_J": _PARSED,
     "invariants._special_steps": _PARSED,

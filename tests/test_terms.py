@@ -22,6 +22,7 @@ from aldbraid.terms import (
     circ_less,
     decompose_special,
     enumerate_terms,
+    fold,
     ht_r,
     is_circ_term,
     is_iter_left_subterm,
@@ -43,6 +44,7 @@ from aldbraid.terms import (
     x_power,
 )
 from aldbraid.braids import eval_star_braid
+from aldbraid.diagrams import diagram_eval_term, identity_diagram
 from aldbraid.invariants import inv_I
 from aldbraid.ldoracle import ld_closure
 from aldbraid.pbwords import blocks, pb_eval_term
@@ -141,6 +143,25 @@ def test_deep_right_combs_take_no_recursion_per_level():
     assert ht_r(stars) == ht_r(circs) == n - 1
     assert rightmost_variable(star_chain([X] * (n - 1), Variable(2))) == 2
     assert blocks(circs) == [X] * n
+    d = diagram_eval_term(stars, identity_diagram())
+    assert (d.dom, d.braid, d.cod) == (x_power(n + 1), tuple(range(n - 1, 0, -1)), x_power(n + 1))
+    d = diagram_eval_term(circs, identity_diagram())
+    assert (d.dom, d.braid, d.cod) == (x_power(n + 1), (), Compound(CIRC, x_power(n), X))
+
+
+def test_fold_works_out_each_distinct_node_once():
+    # sixty doublings: 2^60 leaves, but 61 distinct nodes
+    t = X
+    for _ in range(60):
+        t = star(t, t)
+    done = []
+    count = fold(t, lambda v: done.append(v) or 1, lambda n, b, c: done.append(n) or b + c, {})
+    assert count == 2**60 and len(done) == len(set(done)) == 61
+    # a seeded value is not worked out again, and a shared memo carries over
+    memo, done = {X: 0}, []
+    assert fold(star(X, X), None, lambda n, b, c: done.append(n) or b + c + 1, memo) == 1
+    assert fold(star(star(X, X), X), None, lambda n, b, c: done.append(n) or b + c + 1, memo) == 2
+    assert done == [star(X, X), star(star(X, X), X)]
 
 
 # ---------------------------------------------------------------------------
