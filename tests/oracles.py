@@ -49,6 +49,11 @@ the whole term, where the package reads facts cached on each node.
 `recursive_eval_star_braid` and `recursive_pb_eval_term` recurse into both
 operands of every node, uncached, where `eval_star_braid` and `pb_eval_term`
 loop up the rightmost branch and recurse only into left operands.
+`plain_braid_ld` concatenates the four pieces of b * c with nothing
+cancelled, and `plain_eval_star_braid` evaluates a *-term through it by
+recursion; `letter_loop_braid_ld` cancels the two seams of b * c one letter
+at a time, where `braid_ld` measures each seam in one pass in C, and the two
+must agree letter for letter.
 `recursive_diagram_eval_term` is the diagram evaluation by recursion into
 both operands, with the same products and cache entries as
 `diagram_eval_term`, which folds the term on an explicit stack; the two must
@@ -94,9 +99,11 @@ from aldbraid.braids import (
     braid_equal,
     braid_key,
     braid_ld,
+    braid_shift,
     eval_star_braid,
     free_reduce,
     handle_reduce,
+    inverse,
 )
 from aldbraid.diagrams import (
     PBDiagram,
@@ -798,6 +805,37 @@ def recursive_eval_star_braid(t, g):
     if t.op != STAR:
         raise ValueError("term must use only *")
     return braid_ld(recursive_eval_star_braid(t.left, g), recursive_eval_star_braid(t.right, g))
+
+
+def plain_braid_ld(b, c):
+    """b * c = b · sh(c) · σ1 · sh(b)⁻¹, its four pieces concatenated."""
+    return tuple(b) + braid_shift(c) + (1,) + inverse(braid_shift(b))
+
+
+def plain_eval_star_braid(t, g=()):
+    """The braid of a *-term with every variable sent to g, by
+    plain_braid_ld on the braids of the two operands."""
+    if isinstance(t, Variable):
+        return tuple(g)
+    return plain_braid_ld(plain_eval_star_braid(t.left, g), plain_eval_star_braid(t.right, g))
+
+
+def letter_loop_braid_ld(b, c):
+    """b * c with its two seams cancelled one letter at a time: the end of b
+    against the start of sh(c), then the end of what is left against the
+    start of sh(b)⁻¹ for as long as the letters have index >= 3."""
+    head, rest = list(b), braid_shift(c)
+    i = 0
+    while head and i < len(rest) and head[-1] == -rest[i]:
+        head.pop()
+        i += 1
+    head += rest[i:]
+    tail = inverse(braid_shift(b))
+    j = 0
+    while head and j < len(tail) and abs(tail[j]) >= 3 and head[-1] == -tail[j]:
+        head.pop()
+        j += 1
+    return tuple(head) + (1,) + tail[j:]
 
 
 def recursive_pb_eval_term(t, g):

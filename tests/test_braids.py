@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from aldbraid import ldoracle
+from aldbraid import braids, ldoracle
 from aldbraid.braids import (
     EQUAL,
     GREATER,
@@ -32,6 +33,9 @@ from aldbraid.braids import (
 from aldbraid.invariants import decide_ald
 from aldbraid.terms import STAR, Compound, X, enumerate_terms, parse_term
 from oracles import (
+    letter_loop_braid_ld,
+    plain_braid_ld,
+    plain_eval_star_braid,
     quotient_braid_equal,
     recursive_eval_star_braid,
     scan_handle_reduce,
@@ -233,17 +237,18 @@ def _strip_outer_pairs(q):
 
 def _left_comb_pairs(n, bs=("x",)):
     """(L * (a * b), (L * a) * (L * b) or (L * a) * (L * (b * x)), equal)
-    braid words for L the left comb of n leaves and a of size <= 3."""
+    braid words for L the left comb of n leaves and a of size <= 3, each the
+    concatenation of plain_braid_ld, with nothing cancelled."""
     comb = X
     for _ in range(n - 1):
         comb = Compound(STAR, comb, X)
     for a in map(parse_term, ("x", "x*x", "(x*x)*x", "x*(x*x)")):
         for b in map(parse_term, bs):
-            lhs = eval_star_braid(Compound(STAR, comb, Compound(STAR, a, b)), ())
+            lhs = plain_eval_star_braid(Compound(STAR, comb, Compound(STAR, a, b)))
             left = Compound(STAR, comb, a)
             for right, equal in ((Compound(STAR, comb, b), True),
                                  (Compound(STAR, comb, Compound(STAR, b, X)), False)):
-                yield lhs, eval_star_braid(Compound(STAR, left, right), ()), equal
+                yield lhs, plain_eval_star_braid(Compound(STAR, left, right)), equal
 
 
 def test_cancel_far_commuting_on_random_words():
@@ -282,9 +287,10 @@ def _load_decide_workload():
 
 
 @functools.lru_cache(maxsize=None)
-def _decide_corpus_braid_pairs(seed):
+def _decide_corpus_braid_pairs(seed, plain=False):
     """(kind, w1, w2) for every braid_equal call decide_ald makes on the
-    benchmark's `decide` corpus at this seed."""
+    benchmark's `decide` corpus at this seed; with `plain`, the words are
+    evaluated through plain_braid_ld, with nothing cancelled at the seams."""
     calls = []
     original = ldoracle.braid_equal
     kind = None
@@ -294,18 +300,25 @@ def _decide_corpus_braid_pairs(seed):
         return original(w1, w2)
 
     ldoracle.braid_equal = record
+    if plain:
+        braids.braid_ld = plain_braid_ld
+    eval_star_braid.cache_clear()
     try:
         for kind, s, t in _load_decide_workload()(seed).pairs:
             decide_ald(s, t)
     finally:
         ldoracle.braid_equal = original
+        braids.braid_ld = braid_ld
+        eval_star_braid.cache_clear()
     return tuple(calls)
 
 
 def test_braid_equal_and_compare_match_the_oracles_on_the_decide_corpus():
+    # on the words decide_ald builds, and on the longer ones that the
+    # concatenation of plain_braid_ld builds
     kinds = set()
-    for seed in (1, 2, 3):
-        for kind, a, b in _decide_corpus_braid_pairs(seed):
+    for seed, plain in itertools.product((1, 2, 3), (False, True)):
+        for kind, a, b in _decide_corpus_braid_pairs(seed, plain):
             kinds.add(kind)
             for w, v in ((a, b), (b, a)):
                 assert braid_equal(w, v) == quotient_braid_equal(w, v), (w, v)
@@ -315,15 +328,20 @@ def test_braid_equal_and_compare_match_the_oracles_on_the_decide_corpus():
 
 def test_big_decide_quotients_cancel_to_a_few_letters():
     # L * (a * b) against (L * a) * (L * b), L a left comb of 9-12 leaves:
-    # the quotient left after the common ends has 1,026-8,202 letters, and
-    # its far-commuting letters cancel all but a few
-    big = [(a, b) for kind, a, b in _decide_corpus_braid_pairs(1) if kind == "big"]
-    assert len(big) == 16
-    for a, b in big:
-        r1, r2 = cancel_common_ends(a, b)
-        q = inverse(r1) + r2
-        assert len(q) > 1_000
-        assert len(cancel_far_commuting(q)) <= 12
+    # from the words of plain_braid_ld, the quotient left after the common
+    # ends has 1,026-8,202 letters, and its far-commuting letters cancel all
+    # but a few; the words braid_ld cancels at its seams leave at most 16
+    # letters after their common ends, 152 in all where the plain words
+    # leave 61,544, and the same few after their far-commuting letters cancel
+    for plain in (True, False):
+        big = [(a, b) for kind, a, b in _decide_corpus_braid_pairs(1, plain) if kind == "big"]
+        assert len(big) == 16
+        quotients = [inverse(r1) + r2 for r1, r2 in (cancel_common_ends(a, b) for a, b in big)]
+        if plain:
+            assert min(map(len, quotients)) > 1_000
+        else:
+            assert max(map(len, quotients)) <= 16 and sum(map(len, quotients)) <= 200
+        assert all(len(cancel_far_commuting(q)) <= 12 for q in quotients)
 
 
 def test_braid_equal_examples():
@@ -465,12 +483,53 @@ def test_braid_ld_examples():
 
 
 def test_braid_ld_matches_the_shift_inverse_composition():
-    # sh(b)⁻¹ is built in one pass; on the left combs of 9-12 leaves and the
-    # operands of their LD-expansions it is letter for letter inverse(sh(b))
+    # on the left combs of 9-12 leaves and the operands of their
+    # LD-expansions: letter for letter the seam rule applied one letter at a
+    # time, and the same braid as b · sh(c) · σ1 · sh(b)⁻¹
     for n in range(9, 13):
         for lhs, rhs, _ in _left_comb_pairs(n):
             for b, c in ((lhs, rhs), (rhs, lhs), (lhs, ()), ((), rhs), (B("S3 s1 S2"), lhs)):
-                assert braid_ld(b, c) == b + braid_shift(c) + (1,) + inverse(braid_shift(b))
+                w = braid_ld(b, c)
+                assert w == letter_loop_braid_ld(b, c)
+                assert braid_equal(w, plain_braid_ld(b, c))
+
+
+def test_braid_ld_cancels_its_seams_like_the_concatenation():
+    # b = p · sh(r) and c = r⁻¹ · m · sh(r): sh(c) starts by undoing the end
+    # of b, and head = p · sh(m) · sh²(r) ends with sh(b)'s tail sh²(r),
+    # whose letters have index >= 3; braid_ld is letter for letter the seam
+    # rule applied one letter at a time, and the braid of the concatenation
+    rng = random.Random(3203)
+    both = 0
+    for _ in range(400):
+        p, r, m = (random_word(rng, rng.randint(0, 6)) for _ in range(3))
+        b, c = p + braid_shift(r), inverse(r) + m + braid_shift(r)
+        w, plain = braid_ld(b, c), plain_braid_ld(b, c)
+        assert w == letter_loop_braid_ld(b, c), (b, c)
+        assert braid_equal(w, plain), (b, c)
+        both += len(w) <= len(plain) - 4 * len(r) and len(r) > 0
+    assert both > 300
+    # the edge cases, with g = σ2σ3⁻¹σ1σ4 and sh(g) = σ3σ4⁻¹σ2σ5
+    g = B("s2 S3 s1 s4")
+    cases = [
+        # seam 1 eats all of b, and seam 2 all that is left of sh(c)
+        (braid_shift(g), inverse(g) + B("s2 s5"), B("s1 s5 S4")),
+        # seam 1 eats all of b; seam 2 has nothing to cancel
+        (braid_shift(g), inverse(g) + B("s1 s3"), B("s2 s4 s1 S6 S3 s5 S4")),
+        # seam 1 eats all of sh(c)
+        (B("s1") + braid_shift(g), inverse(g), B("s1 s1 S6 S3 s5 S4 S2")),
+        # b or c empty, or both
+        ((), g, B("s3 S4 s2 s5 s1")),
+        (g, (), B("s2 S3 s1 s4 s1 S5 S2 s4 S3")),
+        ((), (), B("s1")),
+        # sh(b) = σ2σ4: seam 2 cancels σ4 and stops at σ2, which does not
+        # commute with σ1, also where σ2 is the first letter at the seam
+        (B("s1 s3"), B("s1 s3"), B("s1 s3 s2 s1 S2")),
+        (B("s1"), B("s1"), B("s1 s2 s1 S2")),
+    ]
+    for b, c, expected in cases:
+        assert braid_ld(b, c) == letter_loop_braid_ld(b, c) == expected, (b, c)
+        assert braid_equal(expected, plain_braid_ld(b, c))
 
 
 def test_braid_ld_satisfies_ld_up_to_equality():

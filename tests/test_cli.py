@@ -96,6 +96,26 @@ def test_long_left_comb_decisions_exit_64(capsys):
         assert time.perf_counter() - start < 1, command
 
 
+def _left_comb_expansion_pair(n):
+    """L * (((x*x)*x) * (x*x)) and its root LD-expansion
+    (L * ((x*x)*x)) * (L * (x*x)), L the left comb of n leaves."""
+    comb = "(" * (n - 1) + "x" + "*x)" * (n - 1)
+    return f"{comb}*(((x*x)*x)*(x*x))", f"({comb}*((x*x)*x))*({comb}*(x*x))"
+
+
+def test_refusal_goes_by_the_unreduced_word_length(capsys):
+    # at 19 leaves the expansion's word has 1,572,869 letters before its
+    # seams cancel, and 524,285 after: refused all the same, before
+    # evaluating; at 18 leaves (786,437 letters) the pair is decided
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide-ld", *_left_comb_expansion_pair(19))
+    assert (code, out) == (64, "")
+    assert err == f"error: a word of 1572869 letters exceeds the cap of {MAX_WORD_LETTERS}\n"
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "decide-ald", *_left_comb_expansion_pair(18))
+    assert code == 0 and out.splitlines()[0] == "equal"
+
+
 def _deep_derived_term(leaf="x", combs=7):
     # seven (or `combs`) 150-leaf ∘-combs chained by *, ending in leaf: the
     # text nests 8 deep, but the one J entry is a right *-comb of 1,050 x's
