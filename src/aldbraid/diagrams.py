@@ -421,11 +421,11 @@ def word_eq_oracle(w1: PBWord, w2: PBWord) -> bool:
     """Equality of parenthesized-braid words through the diagram model,
     after group cancellation only: each word is freely reduced, then the
     common prefix and suffix of the two drop (p·r1·s = p·r2·s iff r1 = r2).
-    Every letter is validated first, so one the model refuses raises even
-    where it cancels.  `word_to_diagram` returns reduced diagrams (the
-    identity, or the output of `diagram_multiply`, which ends in
-    `diagram_reduce`), so the remainders compare without reducing again."""
-    for fam, signed in set(w1).union(w2):
+    Every letter is validated first, in reading order, so the first one the
+    model refuses raises, even where it cancels.  `word_to_diagram` returns
+    reduced diagrams (the identity, or the output of `diagram_multiply`,
+    which ends in `diagram_reduce`), so the remainders compare as they are."""
+    for fam, signed in dict.fromkeys((*w1, *w2)):
         _letter_diagram(fam, signed)
     r1, r2 = cancel_common_ends(pb_free_reduce(w1), pb_free_reduce(w2))
     return _reduced_equal(word_to_diagram(r1), word_to_diagram(r2))

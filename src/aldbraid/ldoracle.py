@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import KeysView
 
 from .braids import LESS, BraidWord, braid_compare, braid_equal, braid_key, eval_star_braid
 from .pbwords import MAX_WORD_LETTERS, check_word_length, pb_term_length
@@ -114,16 +115,17 @@ def default_size_cap(s: Term, t: Term) -> int:
 
 
 def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
-               target: Term | None = None, laws=(LD,)) -> set:
+               target: Term | None = None, laws=(LD,)) -> KeysView[Term]:
     """Breadth-first closure of t under single steps of `laws` within the caps.
 
-    Stops early when `target` is reached.  Returns the set of visited terms.
+    Stops early when `target` is reached.  Returns the visited terms as a
+    dict keys view, in the order the search reached them, in every process.
     """
     if size_cap < size(t):
         raise ValueError("size_cap must be at least size(t)")
     if step_cap < 1:
         raise ValueError("step_cap must be at least 1")
-    seen = {t}
+    seen = {t: None}
     queue = deque([t])
     steps = 0
     while queue and steps < step_cap:
@@ -133,12 +135,11 @@ def ld_closure(t: Term, size_cap: int, step_cap: int = DEFAULT_STEP_CAP,
             nxt = apply_law(current, inst)
             if nxt in seen or size(nxt) > size_cap:
                 continue
+            seen[nxt] = None
             if nxt == target:
-                seen.add(nxt)
-                return seen
-            seen.add(nxt)
+                return seen.keys()
             queue.append(nxt)
-    return seen
+    return seen.keys()
 
 
 def decide_ld_bounded(s: Term, t: Term, size_cap: int | None = None,
@@ -201,6 +202,8 @@ def find_sq_witness(s: Term, t: Term, size_cap: int | None = None,
 
     Returns (s', t') with s' =_LD s, t' =_LD t, and s' ⊏ t' when s < t
     (t' ⊏ s' when t < s); None when the capped closures contain no such pair.
+    The witness is the first such pair in breadth-first order of the closure
+    of the larger of s and t, so it is the same in every process.
     """
     sign = decide_ld_1var(s, t)
     if sign == 0:

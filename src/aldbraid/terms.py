@@ -43,11 +43,11 @@ ALD2 = "ald2"
 # Terms are hash-consed (Filliâtre–Conchon, "Type-safe modular hash-consing",
 # ML Workshop 2006): the constructors return the existing node for a variable
 # index or an (op, left, right) triple, so structurally equal terms are one
-# object and `==` is identity.  Each node caches its size and its structural
-# hash, hash((index,)) or hash((op, left, right)), when it is built, so hashes
-# and set orders do not depend on where a node was allocated.  It also caches
-# its variable set, a frozenset shared with a child whenever one child's set
-# covers the other's, and the operators occurring in it as a bitmask.  A
+# object and `==` is identity.  So a node hashes by identity too (object's own
+# hash, with no cached field), and no result may depend on the order of a set
+# of terms, which changes from one process to the next.  Each node caches its
+# size, its variable set, a frozenset shared with a child whenever one child's
+# set covers the other's, and the operators occurring in it as a bitmask.  A
 # Compound has two more slots, `inv_i` and `inv_j`, which start as None and
 # which `invariants.inv_I`/`inv_J` fill on first use.  The table holds its
 # nodes weakly, so a term lives as long as something else holds it; a
@@ -65,10 +65,7 @@ def _forget(ref: weakref.KeyedRef, table: dict = _interned) -> None:
 
 
 class _Node:
-    __slots__ = ("size", "var_set", "op_bits", "_hash", "__weakref__")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("size", "var_set", "op_bits", "__weakref__")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -91,7 +88,6 @@ class Variable(_Node):
             _set(node, "size", 1)
             _set(node, "var_set", frozenset((index,)))
             _set(node, "op_bits", 0)
-            _set(node, "_hash", hash((index,)))
             _interned[index] = weakref.KeyedRef(node, _forget, index)
         return node
 
@@ -121,7 +117,6 @@ class Compound(_Node):
             _set(node, "size", left.size + right.size)
             _set(node, "var_set", lv if lv is rv or rv <= lv else rv if lv <= rv else lv | rv)
             _set(node, "op_bits", left.op_bits | right.op_bits | bit)
-            _set(node, "_hash", hash((op, left, right)))
             _set(node, "inv_i", None)
             _set(node, "inv_j", None)
             _interned[key] = weakref.KeyedRef(node, _forget, key)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -412,6 +415,23 @@ def test_refused_letters_raise_even_where_they_cancel():
             word_eq_oracle(w, ())
         with pytest.raises(ValueError):
             word_eq_oracle(W("s1"), W("s1") + w)
+
+
+def test_the_first_refused_letter_is_reported_whatever_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "from aldbraid.diagrams import word_eq_oracle\n"
+        "try:\n"
+        "    word_eq_oracle((('a', 199), ('s', 250)), (('s', 300),))\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "letter index 199 needs a comb of 201 leaves, more than 200\n"
 
 
 def test_word_to_diagram_long_word():

@@ -154,6 +154,7 @@ def test_deep_terms_hash_compare_and_size():
         return t
 
     a, b = comb(), comb()
+    assert type(a).__hash__ is type(X).__hash__ is object.__hash__  # by identity, in C
     assert hash(a) == hash(b)
     assert a == b
     assert a in {b}

@@ -1,5 +1,8 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -254,6 +257,23 @@ def test_find_sq_witness_examples():
 def test_find_sq_witness_rejects_equal_inputs():
     with pytest.raises(ValueError):
         find_sq_witness(T("x"), T("x"))
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    # the closures are walked in breadth-first order, not in the order of a
+    # set of terms, which can change from one process to the next
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, os.path.join(here, "witness_probe.py")],
+                                capture_output=True, text=True, env=env, check=True)
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 70
+    assert "none" not in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_witness_orientation_matches_braid_order():
